@@ -4,8 +4,7 @@
 // server (no TCP in the way):
 //
 //   - the cache hit path, ns per request (direct handler dispatch of a
-//     cached compose), for both the JSON wire and the length-prefixed
-//     binary wire (PR 10's opt-in application/x-mapcomp-wire encoding),
+//     cached compose),
 //   - the mixed read/write workload: a catalog of many disjoint schema
 //     clusters, 1 cluster re-registration per 100 composes (each
 //     mutation touches <1% of the endpoint pairs), run twice — once
@@ -32,11 +31,11 @@
 // With -check the exit status enforces the acceptance floors: the
 // delta hit rate must be at least 5× the wipe baseline (PR 6), every
 // phase's percentiles must be present and ordered
-// (0 < p50 ≤ p99 ≤ p999, PR 7) — including the binary hit-path phase
-// (PR 10) — and the reachability multiplier must be at least 1.5×
-// (PR 8). CI runs it on every push, so a regression in cache survival,
-// in the telemetry, in inverse-edge derivation, or in the binary wire
-// fails the build rather than silently eroding.
+// (0 < p50 ≤ p99 ≤ p999) for the warm, mixed_delta, mixed_wipe and
+// hit_path phases, and the reachability multiplier must be at least
+// 1.5×. CI runs it on every push, so a regression in cache
+// survival, in the telemetry or in inverse-edge derivation fails the
+// build rather than silently eroding.
 package main
 
 import (
@@ -62,8 +61,7 @@ type snapshot struct {
 	Go    string `json:"go"`
 	Procs int    `json:"gomaxprocs"`
 
-	HitPathNSPerOp     int64 `json:"hit_path_ns_per_op"`
-	HitPathWireNSPerOp int64 `json:"hit_path_wire_ns_per_op"`
+	HitPathNSPerOp int64 `json:"hit_path_ns_per_op"`
 
 	Mixed struct {
 		Clusters            int      `json:"clusters"`
@@ -94,11 +92,10 @@ type snapshot struct {
 	// histograms are process-global, so isolation is temporal, not
 	// per-server).
 	Phases struct {
-		Warm        phasePct `json:"warm"`
-		MixedDelta  phasePct `json:"mixed_delta"`
-		MixedWipe   phasePct `json:"mixed_wipe"`
-		HitPath     phasePct `json:"hit_path"`
-		HitPathWire phasePct `json:"hit_path_wire"`
+		Warm       phasePct `json:"warm"`
+		MixedDelta phasePct `json:"mixed_delta"`
+		MixedWipe  phasePct `json:"mixed_wipe"`
+		HitPath    phasePct `json:"hit_path"`
 	} `json:"phases"`
 }
 
@@ -215,7 +212,7 @@ func must(code int, what string) {
 // buildServer registers the cluster catalog on a fresh server and warms
 // every pair once.
 func buildServer(clusters int, disableDelta bool) *server.Server {
-	s := server.New(server.Config{CacheBytes: 64 << 20, DisableDelta: disableDelta, BinaryWire: true})
+	s := server.New(server.Config{CacheBytes: 64 << 20, DisableDelta: disableDelta})
 	for i := 0; i < clusters; i++ {
 		must(post(s, "/v1/register", []byte(clusterTask(i))), "register")
 	}
@@ -257,29 +254,12 @@ func runMixed(s *server.Server, clusters, rounds, composesPerReg int, seed int64
 }
 
 // measureHitPath times the end-to-end handler cost of one cached
-// compose request. With wire=true both the request body and the
-// response ride the binary encoding (PR 10): the handler decodes the
-// length-prefixed frame and serves the entry's pre-encoded binary
-// bytes, so the delta against the JSON number is the cost of JSON
-// scanning plus response framing.
-func measureHitPath(s *server.Server, iters int, wire bool) int64 {
+// compose request.
+func measureHitPath(s *server.Server, iters int) int64 {
 	body := composeBody(clusterPairs(0)[0])
 	must(post(s, "/v1/compose", body), "hit-path warm")
-	if wire {
-		p := clusterPairs(0)[0]
-		var err error
-		body, err = server.MarshalBinary(&server.ComposeRequest{From: p[0], To: p[1]})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsnap:", err)
-			os.Exit(1)
-		}
-	}
 	rd := bytes.NewReader(body)
 	req := httptest.NewRequest("POST", "/v1/compose", rd)
-	if wire {
-		req.Header.Set("Content-Type", server.WireContentType)
-		req.Header.Set("Accept", server.WireContentType)
-	}
 	w := &sink{h: make(http.Header)}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
@@ -353,12 +333,8 @@ func main() {
 		snap.Reachability.Multiplier = float64(st.ReachablePairs) / float64(st.ForwardReachablePairs)
 	}
 	mark = server.ComposeLatencySnapshot()
-	snap.HitPathNSPerOp = measureHitPath(deltaSrv, *hitIters, false)
-	next = server.ComposeLatencySnapshot()
-	snap.Phases.HitPath = phaseDiff(mark, next)
-	mark = next
-	snap.HitPathWireNSPerOp = measureHitPath(deltaSrv, *hitIters, true)
-	snap.Phases.HitPathWire = phaseDiff(mark, server.ComposeLatencySnapshot())
+	snap.HitPathNSPerOp = measureHitPath(deltaSrv, *hitIters)
+	snap.Phases.HitPath = phaseDiff(mark, server.ComposeLatencySnapshot())
 
 	b, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {
@@ -381,7 +357,6 @@ func main() {
 		for name, p := range map[string]phasePct{
 			"warm": snap.Phases.Warm, "mixed_delta": snap.Phases.MixedDelta,
 			"mixed_wipe": snap.Phases.MixedWipe, "hit_path": snap.Phases.HitPath,
-			"hit_path_wire": snap.Phases.HitPathWire,
 		} {
 			if !p.ordered() {
 				fmt.Fprintf(os.Stderr,

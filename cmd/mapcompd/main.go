@@ -8,7 +8,7 @@
 //
 //	mapcompd [-addr :8391] [-workers N] [-cache-bytes N] [-cache-shards N]
 //	         [-compose-timeout D] [-data-dir DIR] [-snapshot-every N]
-//	         [-warm] [-rewarm] [-delta=false] [-wire]
+//	         [-warm] [-rewarm] [-delta=false]
 //	         [-log-format text|json] [-slow-ms N] [-debug-addr HOST:PORT]
 //	         [file.mc ...]
 //
@@ -84,23 +84,7 @@
 // rebuilt ("rewarm_queue_depth" and "rewarmed" in /v1/stats).
 //
 // The cache is bounded by -cache-bytes (exact pre-encoded body sizes
-// plus per-entry overhead; default 64 MiB). -cache-size still bounds it
-// by entry count, deprecated and 0 (unbounded) by default; a negative
-// -cache-size disables caching entirely.
-//
-// # Binary wire format
-//
-// -wire enables the opt-in length-prefixed binary encoding of the
-// compose endpoints (Content-Type/Accept application/x-mapcomp-wire):
-// requests may POST binary bodies, responses are negotiated per request
-// via the Accept header, and cache entries pre-encode their binary hit
-// body alongside the JSON one, so binary hits serve stored bytes
-// verbatim exactly like JSON hits. The binary and JSON documents are
-// interchangeable — decoding a binary response yields the same struct
-// as the JSON body of the identical request — and mapcompose
-// -decode-wire converts a binary document back to canonical JSON.
-// Without -wire a binary request body is answered with 415 and Accept
-// is ignored, keeping the JSON-only surface unchanged.
+// plus per-entry overhead; default 64 MiB).
 //
 // # Preemption
 //
@@ -139,9 +123,7 @@ func main() {
 	addr := flag.String("addr", ":8391", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "batch worker pool width (0 = GOMAXPROCS)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20,
-		"result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = unbounded)")
-	cacheSize := flag.Int("cache-size", 0,
-		"deprecated: result cache bound in entries (0 = bytes-only via -cache-bytes; negative disables caching)")
+		"result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = bound to server.DefaultCacheSize entries instead)")
 	cacheShards := flag.Int("cache-shards", 0,
 		"result cache shards, rounded up to a power of two, max 64 (0 = derived from GOMAXPROCS); /v1/stats reports per-shard entry counts")
 	delta := flag.Bool("delta", true,
@@ -158,8 +140,6 @@ func main() {
 	slowMS := flag.Int64("slow-ms", 0, "log requests slower than N milliseconds with their request id (0 disables)")
 	debugAddr := flag.String("debug-addr", "",
 		"private listener serving net/http/pprof and /metrics (empty disables; keep it off the public address)")
-	wire := flag.Bool("wire", false,
-		"enable the length-prefixed binary wire format: compose/batch accept Content-Type/Accept "+server.WireContentType+" and cache entries pre-encode binary hit bodies")
 	flag.Parse()
 
 	logger, err := newLogger(*logFormat)
@@ -211,11 +191,10 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Catalog: cat, CacheSize: *cacheSize, CacheBytes: *cacheBytes, CacheShards: *cacheShards,
+		Catalog: cat, CacheBytes: *cacheBytes, CacheShards: *cacheShards,
 		Persist: store, ComposeTimeout: *composeTimeout,
 		DisableDelta: !*delta, Rewarm: *rewarm,
 		SlowRequest: time.Duration(*slowMS) * time.Millisecond,
-		BinaryWire:  *wire,
 		Logger:      logger,
 	})
 	// ReadHeaderTimeout defeats slowloris header dribbling and

@@ -173,47 +173,6 @@ func main() {
 		}
 	}
 
-	// 9. The binary wire. A daemon started with `mapcompd -wire` also
-	// speaks a length-prefixed binary encoding: send it with
-	// `Content-Type: application/x-mapcomp-wire`, request it with
-	// `Accept:` the same. The negotiation is strictly per request — JSON
-	// clients on the same daemon are untouched — and a cache hit serves
-	// pre-encoded binary bytes, just like the JSON path. From a shell:
-	//
-	//	curl -s -H 'Accept: application/x-mapcomp-wire' \
-	//	  -d '{"from":"original","to":"split"}' \
-	//	  localhost:8080/v1/compose | mapcompose -decode-wire
-	//
-	// Here the round trip runs in process: the binary body decodes to the
-	// exact struct the JSON response carries.
-	wireTS := httptest.NewServer(server.New(server.Config{BinaryWire: true}))
-	defer wireTS.Close()
-	postRaw(wireTS.URL+"/v1/register", "text/plain", chainTask)
-	jsonBody := post(wireTS.URL+"/v1/compose", "application/json", `{"from":"original","to":"split"}`)
-	req, err := http.NewRequest("POST", wireTS.URL+"/v1/compose",
-		bytes.NewReader([]byte(`{"from":"original","to":"split"}`)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	req.Header.Set("Accept", server.WireContentType)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	wireBody, err := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	doc, err := server.DecodeBinary(wireBody)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nbinary wire: %d JSON bytes -> %d binary bytes (Content-Type %s)\n",
-		len(jsonBody), len(wireBody), resp2.Header.Get("Content-Type"))
-	fmt.Printf("decoded binary response: from=%v to=%v cached=%v (same document as the JSON body)\n",
-		doc.(*server.ComposeResponse).From, doc.(*server.ComposeResponse).To,
-		doc.(*server.ComposeResponse).Cached)
 }
 
 // jfield extracts one top-level field of a JSON document as raw JSON.

@@ -312,6 +312,18 @@ map cz : v3 -> z { Staff <= Z; }
 		t.Fatalf("reachable pairs = %d full / %d forward, want 9/6",
 			gs.ReachablePairs, gs.ForwardReachablePairs)
 	}
+	// Snap.ReachablePairs yields the same 9 pairs, derived hops
+	// included, and Path resolves each of them.
+	n := 0
+	for from, to := range c.Snap().ReachablePairs() {
+		if _, err := c.Path(from, to); err != nil {
+			t.Fatalf("ReachablePairs yielded %s→%s, but Path fails: %v", from, to, err)
+		}
+		n++
+	}
+	if n != gs.ReachablePairs {
+		t.Fatalf("ReachablePairs yielded %d pairs, want %d", n, gs.ReachablePairs)
+	}
 	// Cached: same snapshot returns the same pointer.
 	if c.GraphStats() != gs {
 		t.Fatal("GraphStats not cached on the snapshot")

@@ -1,6 +1,10 @@
 package catalog
 
-import "mapcomp/internal/core"
+import (
+	"iter"
+
+	"mapcomp/internal/core"
+)
 
 // GraphStats summarizes one snapshot's bidirectional mapping graph:
 // edge counts by provenance, reachability with and without the derived
@@ -92,6 +96,27 @@ func (v *view) forwardOrder(src int) []int {
 		}
 	}
 	return order
+}
+
+// ReachablePairs yields every ordered schema pair (from, to), from ≠
+// to, connected over this snapshot's bidirectional graph: sources in
+// name order, each source's targets in name order. It runs one BFS per
+// source, O(S·(S+E)) for a full sweep, and stops early when the
+// consumer breaks — where probing every pair with Catalog.Path would
+// pay a failed search plus the reverse-reachability diagnosis per
+// unreachable pair.
+func (s Snap) ReachablePairs() iter.Seq2[string, string] {
+	return func(yield func(from, to string) bool) {
+		v := s.v
+		for src, from := range v.schemaList {
+			via, _, _ := v.bfsFrom(src)
+			for dst, e := range via {
+				if e != nil && !yield(from.Name, v.schemaList[dst].Name) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // GraphStats returns the (lazily computed, cached) graph statistics of

@@ -126,8 +126,11 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // newTraceJSON renders a request's recorded stages for the inline
-// "trace":true response block.
+// "trace":true response block; nil (no block) for an untraced request.
 func newTraceJSON(requestID string, tr *obs.Trace) *TraceJSON {
+	if tr == nil {
+		return nil
+	}
 	stages := tr.Stages()
 	out := &TraceJSON{RequestID: requestID, Stages: make([]StageJSON, len(stages))}
 	for i, st := range stages {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"mapcomp/internal/catalog"
@@ -136,6 +137,33 @@ func TestWarmRespectsDisabledCache(t *testing.T) {
 	}
 	if n := s.Warm(context.Background()); n != 0 {
 		t.Fatalf("Warm with disabled cache touched %d pairs", n)
+	}
+}
+
+// TestWarmLargeCatalog: Warm discovers pairs with one BFS per source
+// schema, so a catalog of a thousand schemas warms in moments and warms
+// exactly its reachable pairs. Each disjoint a→b→c cluster chains two
+// containments (never invertible, so no derived edges) and reaches 3
+// ordered pairs; every other pair is unreachable.
+func TestWarmLargeCatalog(t *testing.T) {
+	const clusters = 334 // 1,002 schemas
+	var task strings.Builder
+	for i := 0; i < clusters; i++ {
+		fmt.Fprintf(&task, "schema w%[1]da { A%[1]d/2; }\nschema w%[1]db { B%[1]d/2; }\nschema w%[1]dc { C%[1]d/2; }\n"+
+			"map w%[1]dab : w%[1]da -> w%[1]db { A%[1]d <= B%[1]d; }\nmap w%[1]dbc : w%[1]db -> w%[1]dc { B%[1]d <= C%[1]d; }\n", i)
+	}
+	s := New(Config{CacheBytes: 64 << 20})
+	if rec := do(t, s, "POST", "/v1/register", task.String()); rec.Code != http.StatusOK {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body)
+	}
+	if n := s.Warm(context.Background()); n != 3*clusters {
+		t.Fatalf("warmed %d pairs, want %d", n, 3*clusters)
+	}
+	if st := s.Stats(); st.ReachablePairs != 3*clusters || st.CacheEntries != 3*clusters {
+		t.Fatalf("reachable pairs %d, cache entries %d, want %d each", st.ReachablePairs, st.CacheEntries, 3*clusters)
+	}
+	if n := s.Warm(context.Background()); n != 0 {
+		t.Fatalf("second Warm recomputed %d cached pairs", n)
 	}
 }
 

@@ -66,8 +66,9 @@ type Config struct {
 	// CacheSize bounds the result cache in entries. 0 means
 	// DefaultCacheSize unless CacheBytes sets a byte budget; negative
 	// disables caching and coalescing entirely (used by the cold-path
-	// benchmark). Deprecated in mapcompd in favour of -cache-bytes;
-	// kept as the exact entry bound for callers that want one.
+	// benchmark and the tests' uncached oracle). mapcompd bounds its
+	// cache by -cache-bytes only; this is the exact entry bound for
+	// callers that want one.
 	CacheSize int
 	// CacheBytes bounds the result cache by exact byte footprint
 	// (pre-encoded body sizes plus fixed per-entry overhead). 0 means
@@ -108,13 +109,6 @@ type Config struct {
 	// disables sampling — and with it the response-writer wrapping, so
 	// the hit path is untouched.
 	SlowRequest time.Duration
-	// BinaryWire enables the length-prefixed binary wire format
-	// (mapcompd -wire): compose/batch requests may POST binary bodies
-	// (Content-Type: application/x-mapcomp-wire) and ask for binary
-	// responses (Accept: the same), and cache entries pre-encode their
-	// binary hit body alongside the JSON one. Off by default; a binary
-	// body sent to a JSON-only server is answered with 415.
-	BinaryWire bool
 	// Logger receives slow-request samples; nil means slog.Default().
 	Logger *slog.Logger
 }
@@ -131,7 +125,6 @@ type Server struct {
 	deltaOff bool           // wipe-on-write baseline (Config.DisableDelta)
 	rewarmQ  *rewarmQueue   // nil unless Config.Rewarm
 	slow     time.Duration  // slow-request log threshold; 0 = off
-	binWire  bool           // binary wire format negotiable (Config.BinaryWire)
 	logger   *slog.Logger
 	mux      *http.ServeMux
 
@@ -173,7 +166,7 @@ type migrationRecord struct {
 func New(cfg Config) *Server {
 	s := &Server{cat: cfg.Catalog, cfg: cfg.Compose, persist: cfg.Persist,
 		timeout: cfg.ComposeTimeout, deltaOff: cfg.DisableDelta,
-		slow: cfg.SlowRequest, binWire: cfg.BinaryWire, logger: cfg.Logger}
+		slow: cfg.SlowRequest, logger: cfg.Logger}
 	if s.logger == nil {
 		s.logger = slog.Default()
 	}
@@ -189,7 +182,7 @@ func New(cfg Config) *Server {
 		size = DefaultCacheSize
 	}
 	if size >= 0 {
-		s.cache = newResultCache(size, cfg.CacheBytes, cfg.CacheShards, cfg.BinaryWire)
+		s.cache = newResultCache(size, cfg.CacheBytes, cfg.CacheShards)
 		s.cacheCap = size
 		if size == 0 {
 			// Bytes-only bound: cap Warm's pair sweep at the smallest
@@ -296,7 +289,8 @@ func (s *Server) Stats() StatsResponse {
 // Warm precomputes compositions for the catalog's connected ordered
 // schema pairs, filling the result cache so the first client request
 // after a restart is a hit instead of a cold ELIMINATE run. Pair
-// discovery is a cheap BFS per pair; the compositions themselves run on
+// discovery is one BFS per source schema over a single catalog
+// snapshot, O(S·(S+E)) in all; the compositions themselves run on
 // the internal/par worker pool and stop claiming pairs once ctx is
 // cancelled (cmd/mapcompd passes its shutdown context, so a SIGTERM
 // during warm-up is not held hostage by the remaining pairs). The
@@ -314,24 +308,17 @@ func (s *Server) Warm(ctx context.Context) int {
 	if s.cache == nil {
 		return 0
 	}
-	gen := s.cat.Generation()
-	schemas, _, _ := s.cat.Snapshot()
+	snap := s.cat.Snap()
+	gen := snap.Generation()
 	var pairs [][2]string
-	for _, a := range schemas {
-		for _, b := range schemas {
-			if len(pairs) >= s.cacheCap {
-				break
-			}
-			if a.Name == b.Name {
-				continue
-			}
-			if s.cache.valid(pairKey{from: a.Name, to: b.Name, cfg: s.cfgFP}, gen) {
-				continue // survived migration; nothing to recompute
-			}
-			if _, err := s.cat.Path(a.Name, b.Name); err == nil {
-				pairs = append(pairs, [2]string{a.Name, b.Name})
-			}
+	for from, to := range snap.ReachablePairs() {
+		if len(pairs) >= s.cacheCap {
+			break
 		}
+		if s.cache.valid(pairKey{from: from, to: to, cfg: s.cfgFP}, gen) {
+			continue // survived migration; nothing to recompute
+		}
+		pairs = append(pairs, [2]string{from, to})
 	}
 	var ok atomic.Int64
 	_ = par.DoContext(ctx, len(pairs), func(i int) {
@@ -366,39 +353,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	writeRaw(w, code, body)
 }
 
-// writeRawBin serves a pre-encoded binary wire document. No trailing
-// newline: the length-prefixed format is self-delimiting.
-func writeRawBin(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", WireContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
-}
-
-// writeBin is writeJSON's binary twin: one counted encode, then the
-// raw write.
-func writeBin(w http.ResponseWriter, code int, v any) {
-	body, err := marshalBinary(v)
-	if err != nil {
-		http.Error(w, `{"error":"server: response encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	writeRawBin(w, code, body)
-}
-
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorJSON{Error: err.Error(), RequestID: requestID(w)})
-}
-
-// writeErrorBody renders a structured error in the wire format the
-// request accepted — the compose endpoints negotiate even their
-// failures, so a binary client never has to switch decoders.
-func writeErrorBody(w http.ResponseWriter, code int, body *ErrorJSON, bin bool) {
-	if bin {
-		writeBin(w, code, body)
-		return
-	}
-	writeJSON(w, code, body)
 }
 
 // composeStatus maps a resolution/composition error to an HTTP status:
@@ -481,38 +437,6 @@ func (s *Server) composeContext(ctx context.Context, timeoutMS int64) (context.C
 	return context.WithTimeout(ctx, timeout)
 }
 
-// writeBodyError classifies a body-read failure: an http.MaxBytesReader
-// overflow is an explicit 413 — and closes the connection — rather than
-// a silently-truncated prefix that might parse or an unbounded read an
-// attacker can drive to OOM; anything else is a 400. bin renders the
-// error in the binary wire format for clients that negotiated it.
-func writeBodyErrorNeg(w http.ResponseWriter, what string, err error, bin bool) {
-	code := http.StatusBadRequest
-	var msg string
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		code = http.StatusRequestEntityTooLarge
-		msg = fmt.Sprintf("server: %s body exceeds %d bytes", what, tooBig.Limit)
-	} else {
-		msg = fmt.Sprintf("server: bad %s request: %v", what, err)
-	}
-	writeErrorBody(w, code, &ErrorJSON{Error: msg, RequestID: requestID(w)}, bin)
-}
-
-func writeBodyError(w http.ResponseWriter, what string, err error) {
-	writeBodyErrorNeg(w, what, err, false)
-}
-
-// readBody drains the request body through http.MaxBytesReader.
-func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
-	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeBodyError(w, what, err)
-		return nil, false
-	}
-	return src, true
-}
-
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.serveRegister(w, r) {
@@ -523,11 +447,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveRegister(w http.ResponseWriter, r *http.Request) bool {
-	src, ok := readBody(w, r, "register")
+	buf, ok := readBodyBuf(w, r, "register")
 	if !ok {
 		return false
 	}
-	p, err := parser.Parse(string(src))
+	defer putBodyBuf(buf)
+	// The string conversion copies: nothing the parser returns aliases
+	// the pooled buffer.
+	p, err := parser.Parse(buf.String())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return false
@@ -636,52 +563,32 @@ func (s *Server) compose(ctx context.Context, from, to string) (*cacheEntry, hit
 	return ent, kind, err
 }
 
-// respond returns a per-caller copy of resp with the Cached flag set:
-// the caller that ran the composition reports false, everyone served
-// from the cache or an in-flight computation reports true.
-func respond(resp *ComposeResponse, kind hitKind) *ComposeResponse {
-	out := *resp
-	out.Cached = kind != computed
-	return &out
-}
-
-// writeEntry serves one composition outcome. Anything served from the
-// cache — a hit, a coalesced waiter — writes the entry's pre-encoded
-// cached=true bytes verbatim (zero marshals, JSON or binary according
-// to what the request accepted); the caller that computed pays the one
-// encode for its cached=false body. The nil-enc fallback covers
+// outcomeBytes is the one path from a composition outcome to its
+// response document, shared by single compose, batch items and
+// GET /v1/results/{key}. Anything served from the cache — a hit, a
+// coalesced waiter — is the entry's pre-encoded cached=true bytes
+// verbatim (zero marshals). The caller that computed, and any traced
+// request, pays one marshal of a per-caller copy carrying its own
+// Cached flag and trace block. The nil-enc fallback covers
 // cache-disabled servers and the (theoretical) encode failure.
-func writeEntry(w http.ResponseWriter, ent *cacheEntry, kind hitKind, bin bool) {
-	if bin {
-		if kind != computed && ent.encBin != nil {
-			writeRawBin(w, http.StatusOK, ent.encBin)
-			return
-		}
-		writeBin(w, http.StatusOK, respond(ent.resp, kind))
-		return
-	}
-	if kind != computed && ent.enc != nil {
-		writeRaw(w, http.StatusOK, ent.enc)
-		return
-	}
-	writeJSON(w, http.StatusOK, respond(ent.resp, kind))
-}
-
-// entryWire returns the wire bytes of one outcome for splicing into a
-// batch envelope: cached outcomes reuse the entry's pre-encoded bytes
-// (JSON or binary per the negotiated response format), fresh
-// computations encode once.
-func entryWire(ent *cacheEntry, kind hitKind, bin bool) ([]byte, error) {
-	if bin {
-		if kind != computed && ent.encBin != nil {
-			return ent.encBin, nil
-		}
-		return marshalBinary(respond(ent.resp, kind))
-	}
-	if kind != computed && ent.enc != nil {
+func outcomeBytes(ent *cacheEntry, kind hitKind, trace *TraceJSON) ([]byte, error) {
+	if trace == nil && kind != computed && ent.enc != nil {
 		return ent.enc, nil
 	}
-	return marshalWire(respond(ent.resp, kind))
+	resp := *ent.resp
+	resp.Cached = kind != computed
+	resp.Trace = trace
+	return marshalWire(&resp)
+}
+
+// writeOutcome serves one composition outcome as the 200 response.
+func writeOutcome(w http.ResponseWriter, ent *cacheEntry, kind hitKind, trace *TraceJSON) {
+	body, err := outcomeBytes(ent, kind, trace)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeRaw(w, http.StatusOK, body)
 }
 
 // bodyBufs pools the scratch buffers request bodies are read into.
@@ -695,18 +602,28 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 const maxPooledBody = 64 << 10
 
 // readBodyBuf reads the request body through MaxBytesReader into a
-// pooled buffer. The caller owns putBodyBuf-ing the buffer when the
-// bytes are no longer referenced — the zero-alloc scanner hands out
-// sub-slices of it, so the return must happen after the request is
-// fully served, never earlier. A MaxBytesReader overflow surfaces as
-// the error (classify with writeBodyErrorNeg → 413).
-func readBodyBuf(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+// pooled buffer; every endpoint with a body reads it here. The caller
+// owns putBodyBuf-ing the buffer when the bytes are no longer
+// referenced — the zero-alloc scanner hands out sub-slices of it, so
+// the return must happen after the request is fully served, never
+// earlier. On failure readBodyBuf writes the error response itself: an
+// overflow is an explicit 413 — and closes the connection — rather than
+// a silently-truncated prefix that might parse or an unbounded read an
+// attacker can drive to OOM; anything else is a 400.
+func readBodyBuf(w http.ResponseWriter, r *http.Request, what string) (*bytes.Buffer, bool) {
 	buf := bodyBufs.Get().(*bytes.Buffer)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		putBodyBuf(buf)
-		return nil, err
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		return buf, true
 	}
-	return buf, nil
+	putBodyBuf(buf)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("server: %s body exceeds %d bytes", what, tooBig.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad %s request: %v", what, err))
+	}
+	return nil, false
 }
 
 // putBodyBuf recycles a body buffer. Buffers grown past maxPooledBody
@@ -743,38 +660,15 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 // Anything the scanner declines falls back to json.Unmarshal with
 // identical semantics (FuzzComposeRequest enforces the equivalence).
 func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOutcome {
-	var binReq, wantBin bool
-	if s.binWire {
-		binReq = r.Header.Get("Content-Type") == WireContentType
-		wantBin = r.Header.Get("Accept") == WireContentType
-	} else if r.Header.Get("Content-Type") == WireContentType {
-		writeError(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("server: binary wire format disabled (start mapcompd with -wire)"))
-		return outError
-	}
-	buf, err := readBodyBuf(w, r)
-	if err != nil {
-		writeBodyErrorNeg(w, "compose", err, wantBin)
+	buf, ok := readBodyBuf(w, r, "compose")
+	if !ok {
 		return outError
 	}
 	defer putBodyBuf(buf)
 	body := buf.Bytes()
 
-	var view composeReqView
-	var scanned bool
-	if binReq {
-		view, err = scanBinaryComposeRequest(body)
-		if err != nil {
-			writeErrorBody(w, http.StatusBadRequest,
-				&ErrorJSON{Error: "server: bad compose request: " + err.Error(), RequestID: requestID(w)}, wantBin)
-			return outError
-		}
-		scanned = true
-	} else {
-		view, scanned = scanComposeRequest(body)
-	}
 	var req ComposeRequest
-	if scanned {
+	if view, scanned := scanComposeRequest(body); scanned {
 		if s.cache != nil && !view.trace && len(view.from) > 0 && len(view.to) > 0 {
 			// The zero-copy fast path: probe with strings aliasing the
 			// body buffer. A hit is served entirely from stored bytes; a
@@ -782,24 +676,24 @@ func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOut
 			// (which owns every string it retains).
 			if ent, ok := s.cache.probe(view.pair(s.cfgFP), s.cat.Generation()); ok {
 				s.cacheHits.Add(1)
-				writeEntry(w, ent, cacheHit, wantBin)
+				writeOutcome(w, ent, cacheHit, nil)
 				return outHit
 			}
 		}
 		req = view.request()
 	} else if err := json.Unmarshal(body, &req); err != nil {
-		writeBodyErrorNeg(w, "compose", err, wantBin)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad compose request: %v", err))
 		return outError
 	}
 	if req.From == "" || req.To == "" {
-		writeErrorBody(w, http.StatusBadRequest,
-			&ErrorJSON{Error: "server: compose request needs from and to", RequestID: requestID(w)}, wantBin)
+		writeError(w, http.StatusBadRequest, errors.New("server: compose request needs from and to"))
 		return outError
 	}
 	ctx, cancel := s.composeContext(r.Context(), req.TimeoutMS)
 	defer cancel()
 	var ent *cacheEntry
 	var kind hitKind
+	var err error
 	var tr *obs.Trace
 	if req.Trace {
 		ctx, tr = obs.WithTrace(ctx)
@@ -813,23 +707,13 @@ func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOut
 		status := composeStatus(err)
 		errBody := s.composeError(req.From, req.To, err)
 		errBody.RequestID = requestID(w)
-		writeErrorBody(w, status, &errBody, wantBin)
+		writeJSON(w, status, &errBody)
 		if status == http.StatusGatewayTimeout {
 			return outTimeout
 		}
 		return outError
 	}
-	if tr != nil {
-		resp := respond(ent.resp, kind)
-		resp.Trace = newTraceJSON(requestID(w), tr)
-		if wantBin {
-			writeBin(w, http.StatusOK, resp)
-		} else {
-			writeJSON(w, http.StatusOK, resp)
-		}
-	} else {
-		writeEntry(w, ent, kind, wantBin)
-	}
+	writeOutcome(w, ent, kind, newTraceJSON(requestID(w), tr))
 	switch kind {
 	case cacheHit:
 		return outHit
@@ -849,68 +733,43 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// batchOut is one in-flight batch outcome: raw holds the item's
-// pre-encoded response document (JSON or binary, per the negotiated
-// response format), status/errBody the structured failure — the same
-// ErrorJSON body and HTTP status the pair would have produced as a
-// single compose request.
-type batchOut struct {
-	raw     []byte
-	status  int
-	errBody *ErrorJSON
-}
-
+// serveBatch fans the batch's pairs out over the worker pool and
+// splices each item's outcome bytes into the envelope. A failed item
+// carries the same ErrorJSON body and HTTP status the pair would have
+// produced as a single compose request.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
-	var binReq, wantBin bool
-	if s.binWire {
-		binReq = r.Header.Get("Content-Type") == WireContentType
-		wantBin = r.Header.Get("Accept") == WireContentType
-	} else if r.Header.Get("Content-Type") == WireContentType {
-		writeError(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("server: binary wire format disabled (start mapcompd with -wire)"))
-		return false
-	}
-	buf, err := readBodyBuf(w, r)
-	if err != nil {
-		writeBodyErrorNeg(w, "batch", err, wantBin)
+	buf, ok := readBodyBuf(w, r, "batch")
+	if !ok {
 		return false
 	}
 	defer putBodyBuf(buf)
 	body := buf.Bytes()
 
 	var req BatchRequest
-	if binReq {
-		if req, err = scanBinaryBatchRequest(body); err != nil {
-			writeErrorBody(w, http.StatusBadRequest,
-				&ErrorJSON{Error: "server: bad batch request: " + err.Error(), RequestID: requestID(w)}, wantBin)
-			return false
-		}
-	} else if reqs, ok := scanBatchRequest(body); ok {
+	if reqs, ok := scanBatchRequest(body); ok {
 		req.Requests = reqs
 	} else if err := json.Unmarshal(body, &req); err != nil {
-		writeBodyErrorNeg(w, "batch", err, wantBin)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad batch request: %v", err))
 		return false
 	}
 	if len(req.Requests) == 0 {
-		writeErrorBody(w, http.StatusBadRequest,
-			&ErrorJSON{Error: "server: batch request needs at least one pair", RequestID: requestID(w)}, wantBin)
+		writeError(w, http.StatusBadRequest, errors.New("server: batch request needs at least one pair"))
 		return false
 	}
 	if len(req.Requests) > maxBatch {
-		writeErrorBody(w, http.StatusBadRequest,
-			&ErrorJSON{Error: fmt.Sprintf("server: batch of %d exceeds limit %d", len(req.Requests), maxBatch), RequestID: requestID(w)}, wantBin)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: batch of %d exceeds limit %d", len(req.Requests), maxBatch))
 		return false
 	}
 	reqID := requestID(w)
-	items := make([]batchOut, len(req.Requests))
+	items := make([]batchItemWire, len(req.Requests))
 	// The batch fans out over the worker pool under the request context:
 	// a disconnected client stops the sweep, and each item gets its own
 	// compose deadline so one pathological pair cannot eat the batch.
 	ctxErr := par.DoContext(r.Context(), len(req.Requests), func(i int) {
 		q := req.Requests[i]
 		if q.From == "" || q.To == "" {
-			items[i].status = http.StatusBadRequest
-			items[i].errBody = &ErrorJSON{Error: "server: compose request needs from and to", RequestID: reqID}
+			items[i].Status = http.StatusBadRequest
+			items[i].Error = &ErrorJSON{Error: "server: compose request needs from and to", RequestID: reqID}
 			return
 		}
 		ctx, cancel := s.composeContext(r.Context(), q.TimeoutMS)
@@ -923,28 +782,17 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
 		if err != nil {
 			eb := s.composeError(q.From, q.To, err)
 			eb.RequestID = reqID
-			items[i].status = composeStatus(err)
-			items[i].errBody = &eb
+			items[i].Status = composeStatus(err)
+			items[i].Error = &eb
 			return
 		}
-		var raw []byte
-		if tr != nil {
-			resp := respond(ent.resp, kind)
-			resp.Trace = newTraceJSON(reqID, tr)
-			if wantBin {
-				raw, err = marshalBinary(resp)
-			} else {
-				raw, err = marshalWire(resp)
-			}
-		} else {
-			raw, err = entryWire(ent, kind, wantBin)
-		}
+		raw, err := outcomeBytes(ent, kind, newTraceJSON(reqID, tr))
 		if err != nil {
-			items[i].status = http.StatusInternalServerError
-			items[i].errBody = &ErrorJSON{Error: err.Error(), RequestID: reqID}
+			items[i].Status = http.StatusInternalServerError
+			items[i].Error = &ErrorJSON{Error: err.Error(), RequestID: reqID}
 			return
 		}
-		items[i].raw = raw
+		items[i].Response = raw
 	})
 	// DoContext reports the context's error exactly when cancellation
 	// left items unrun. Those items must not ship as empty objects:
@@ -954,34 +802,16 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
 	canceled := ctxErr != nil
 	if canceled {
 		for i := range items {
-			if items[i].raw == nil && items[i].errBody == nil {
-				items[i].status = http.StatusGatewayTimeout
-				items[i].errBody = &ErrorJSON{
+			if items[i].Response == nil && items[i].Error == nil {
+				items[i].Status = http.StatusGatewayTimeout
+				items[i].Error = &ErrorJSON{
 					Error:     "server: batch canceled before this item ran: " + ctxErr.Error(),
 					RequestID: reqID,
 				}
 			}
 		}
 	}
-	if wantBin {
-		out := []byte{wireVersion, binKindBatchResp}
-		out = appendBool(out, canceled)
-		out = appendSeqCount(out, false, len(items))
-		for i := range items {
-			var errDoc []byte
-			if items[i].errBody != nil {
-				errDoc, _ = marshalBinary(items[i].errBody)
-			}
-			out = appendBatchItemRaw(out, items[i].status, items[i].raw, errDoc)
-		}
-		writeRawBin(w, http.StatusOK, out)
-	} else {
-		wireItems := make([]batchItemWire, len(items))
-		for i := range items {
-			wireItems[i] = batchItemWire{Response: items[i].raw, Status: items[i].status, Error: items[i].errBody}
-		}
-		writeJSON(w, http.StatusOK, batchResponseWire{Results: wireItems, Canceled: canceled})
-	}
+	writeJSON(w, http.StatusOK, batchResponseWire{Results: items, Canceled: canceled})
 	return !canceled
 }
 
@@ -991,7 +821,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		if ent, ok := s.cache.get(key); ok {
 			s.resultFetches.Add(1)
-			writeEntry(w, ent, cacheHit, s.binWire && r.Header.Get("Accept") == WireContentType)
+			writeOutcome(w, ent, cacheHit, nil)
 			fetchHitSeconds.Observe(time.Since(start))
 			return
 		}

@@ -116,6 +116,10 @@ func TestComposeEndpoint(t *testing.T) {
 		{`{"from":"original","to":"original"}`, http.StatusBadRequest},
 		{`{"from":"original"}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		// A compose frame of the retired binary wire (version 0x01, kind
+		// 0x01, uvarint-framed strings, timeout, trace) is just a body
+		// that is not JSON: a 400 with an error document, never a 415.
+		{"\x01\x01\x08original\x05split\x00\x00", http.StatusBadRequest},
 	} {
 		rec := do(t, s, "POST", "/v1/compose", tc.body)
 		if rec.Code != tc.code {
