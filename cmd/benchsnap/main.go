@@ -28,6 +28,10 @@
 //
 //	benchsnap [-out BENCH.json] [-clusters N] [-rounds N] [-check]
 //
+// The snapshot always goes to stdout; -out additionally writes it to a
+// file. Nothing is written to disk by default, so a bare run never
+// overwrites a committed BENCH_*.json.
+//
 // With -check the exit status enforces the acceptance floors: the
 // delta hit rate must be at least 5× the wipe baseline (PR 6), every
 // phase's percentiles must be present and ordered
@@ -276,7 +280,7 @@ func measureHitPath(s *server.Server, iters int) int64 {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR10.json", "output path for the benchmark snapshot")
+	out := flag.String("out", "", "also write the benchmark snapshot to this file (default: stdout only)")
 	clusters := flag.Int("clusters", 150, "disjoint 3-schema clusters in the benchmark catalog")
 	rounds := flag.Int("rounds", 30, "mixed-workload rounds (1 registration per round)")
 	composesPerReg := flag.Int("composes-per-register", 100, "compose requests per registration")
@@ -342,9 +346,11 @@ func main() {
 		os.Exit(1)
 	}
 	b = append(b, '\n')
-	if err := os.WriteFile(*out, b, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsnap:", err)
-		os.Exit(1)
+	if *out != "" {
+		if err := os.WriteFile(*out, b, 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "benchsnap:", err)
+			os.Exit(1)
+		}
 	}
 	os.Stdout.Write(b)
 

@@ -27,7 +27,7 @@ map m1 : original -> fivestar {
 }
 `
 
-func mustParse(t *testing.T, src string) *parser.Problem {
+func mustParse(t testing.TB, src string) *parser.Problem {
 	t.Helper()
 	p, err := parser.Parse(src)
 	if err != nil {
@@ -39,7 +39,7 @@ func mustParse(t *testing.T, src string) *parser.Problem {
 	return p
 }
 
-func schema(t *testing.T, arity int, rel string, key ...int) *algebra.Schema {
+func schema(t testing.TB, arity int, rel string, key ...int) *algebra.Schema {
 	t.Helper()
 	sch := algebra.NewSchema()
 	sch.Sig[rel] = arity
@@ -51,7 +51,7 @@ func schema(t *testing.T, arity int, rel string, key ...int) *algebra.Schema {
 
 // openStore opens dir and recovers into a fresh catalog with logging
 // attached — the full boot sequence of cmd/mapcompd.
-func openStore(t *testing.T, dir string, opts Options) (*Store, *catalog.Catalog) {
+func openStore(t testing.TB, dir string, opts Options) (*Store, *catalog.Catalog) {
 	t.Helper()
 	s, err := Open(dir, opts)
 	if err != nil {
@@ -69,7 +69,7 @@ func openStore(t *testing.T, dir string, opts Options) (*Store, *catalog.Catalog
 // populate drives every mutation kind through the catalog: schema
 // registration (with keys), schema update, mapping registration and
 // update, and a batch apply.
-func populate(t *testing.T, cat *catalog.Catalog) {
+func populate(t testing.TB, cat *catalog.Catalog) {
 	t.Helper()
 	if _, err := cat.RegisterSchema("src", schema(t, 2, "R", 1)); err != nil {
 		t.Fatal(err)

@@ -130,8 +130,8 @@ func BenchmarkServerCatalogSaturated(b *testing.B) {
 // allocs/op and fails outright if a hit marshals anything — the cache
 // stores pre-encoded bytes precisely so this number stays zero — or if
 // per-hit allocations creep past a coarse bound (the steady state is
-// the pooled body read, the decoded request strings and the response
-// headers; recompute the bound if the wire format grows).
+// the body read, the decoded request strings and the response headers;
+// recompute the bound if the wire format grows).
 func BenchmarkServerComposeHit(b *testing.B) {
 	s := New(Config{})
 	req := httptest.NewRequest("POST", "/v1/register", bytes.NewReader([]byte(chainTask)))
@@ -172,13 +172,13 @@ func BenchmarkServerComposeHit(b *testing.B) {
 // TestComposeHitPathAllocBound is the alloc guard that runs in every
 // plain `go test` pass (benchmarks only run in the CI smoke): a cache
 // hit must not marshal anything and must stay under a tight
-// allocations-per-request ceiling. Since PR 10 the hot path decodes
-// the body with the zero-alloc scanner and probes the cache through a
-// zero-copy view of the pooled buffer, so the measured steady state is
-// ~9 allocations (http.Request plumbing, MaxBytesReader, headers —
-// request parsing itself contributes none); the bound leaves a little
-// room for harness noise but catches reintroducing a per-hit
-// json.Unmarshal (~6 allocations on its own) or marshal (~10).
+// allocations-per-request ceiling. A hit reads the body with one
+// bounded io.ReadAll, decodes it with one json.Unmarshal and probes the
+// cache with the decoded strings; the measured steady state is 16
+// allocations (request plumbing, MaxBytesReader, the body buffer, the
+// decoder and its two strings, headers). The bound adds 3 of headroom
+// for harness noise and still catches a reintroduced per-hit marshal
+// (~10 allocations) or a second decode (~6).
 func TestComposeHitPathAllocBound(t *testing.T) {
 	s := New(Config{})
 	if rec := do(t, s, "POST", "/v1/register", chainTask); rec.Code != http.StatusOK {
@@ -207,7 +207,7 @@ func TestComposeHitPathAllocBound(t *testing.T) {
 	if d := wireEncodes.Load() - encodesBefore; d != 0 {
 		t.Errorf("hit path marshaled %d times over %d requests, want 0", d, runs)
 	}
-	const maxAllocs = 12
+	const maxAllocs = 19
 	if avg > maxAllocs {
 		t.Errorf("hit path allocates %.1f objects per request, bound is %d", avg, maxAllocs)
 	}

@@ -284,8 +284,7 @@ func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute 
 		// Lock-free probe, and before honouring the deadline: a hit
 		// costs microseconds, so even an already-expired request is
 		// served its cached response rather than a pointless 504.
-		if ent := sh.view.Load().items[pair]; ent != nil && ent.gen.Load() >= gen {
-			sh.touch(ent)
+		if ent := sh.lookup(pair, gen); ent != nil {
 			return ent, cacheHit, nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -295,9 +294,8 @@ func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute 
 		// Re-probe under the mutex: a computation or a migration may
 		// have completed between the lock-free miss and the lock
 		// acquisition.
-		if ent := sh.view.Load().items[pair]; ent != nil && ent.gen.Load() >= gen {
+		if ent := sh.lookup(pair, gen); ent != nil {
 			sh.mu.Unlock()
-			sh.touch(ent)
 			return ent, cacheHit, nil
 		}
 		if cl, ok := sh.calls[fk]; ok {
@@ -481,19 +479,25 @@ func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(from, to strin
 	return m
 }
 
-// probe is the allocation-free fast-path lookup: the same lock-free
-// load-and-watermark check do performs before anything else, exposed so
-// serveCompose can serve a hit straight off the scanned request view —
-// pair's strings may alias the request body buffer, because nothing
-// here retains them (entries are stored under their own owned pair).
-// Misses fall through to do, which re-probes under its own discipline.
+// probe is the one fast lookup: a lock-free load of the shard's view
+// and the watermark check, with no lock, flight or context. serveCompose
+// calls it with the decoded request strings before deriving a deadline
+// context, so a hit never pays context.WithTimeout; do starts with the
+// same lookup. Misses fall through to do.
 func (c *resultCache) probe(pair pairKey, gen uint64) (*cacheEntry, bool) {
-	sh := c.shard(pair)
+	ent := c.shard(pair).lookup(pair, gen)
+	return ent, ent != nil
+}
+
+// lookup returns the entry for pair if its watermark is ≥ gen, touching
+// it for recency; nil otherwise. It takes no lock: the view is an
+// immutable snapshot.
+func (sh *cacheShard) lookup(pair pairKey, gen uint64) *cacheEntry {
 	if ent := sh.view.Load().items[pair]; ent != nil && ent.gen.Load() >= gen {
 		sh.touch(ent)
-		return ent, true
+		return ent
 	}
-	return nil, false
+	return nil
 }
 
 // valid reports whether pair is cached with a watermark ≥ gen — i.e.

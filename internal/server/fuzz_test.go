@@ -59,26 +59,6 @@ func FuzzComposeRequest(f *testing.F) {
 		http.StatusGatewayTimeout:        true,
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// PR 10 equivalence oracle: whenever the zero-alloc scanner claims
-		// a body, json.Unmarshal must accept the same bytes and produce
-		// the identical struct — the scanner may only decline, never
-		// disagree. Same contract for the batch scanner.
-		scanEquivalent(t, body)
-		if reqs, ok := scanBatchRequest(body); ok {
-			var want BatchRequest
-			if err := json.Unmarshal(body, &want); err != nil {
-				t.Fatalf("batch scanner accepted %q but stdlib rejects it: %v", body, err)
-			}
-			if len(reqs) != len(want.Requests) {
-				t.Fatalf("batch scanner sees %d requests in %q, stdlib sees %d", len(reqs), body, len(want.Requests))
-			}
-			for i := range reqs {
-				if reqs[i] != want.Requests[i] {
-					t.Fatalf("batch scanner diverges on %q item %d: %+v vs %+v", body, i, reqs[i], want.Requests[i])
-				}
-			}
-		}
-
 		req := httptest.NewRequest("POST", "/v1/compose", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)

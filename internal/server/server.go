@@ -27,7 +27,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,7 +36,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -447,14 +445,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveRegister(w http.ResponseWriter, r *http.Request) bool {
-	buf, ok := readBodyBuf(w, r, "register")
+	body, ok := readBody(w, r, "register")
 	if !ok {
 		return false
 	}
-	defer putBodyBuf(buf)
-	// The string conversion copies: nothing the parser returns aliases
-	// the pooled buffer.
-	p, err := parser.Parse(buf.String())
+	p, err := parser.Parse(string(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return false
@@ -591,32 +586,17 @@ func writeOutcome(w http.ResponseWriter, ent *cacheEntry, kind hitKind, trace *T
 	writeRaw(w, http.StatusOK, body)
 }
 
-// bodyBufs pools the scratch buffers request bodies are read into.
-// json.Unmarshal copies every string it keeps, so a buffer never
-// outlives its handler call. Buffers grown past maxPooledBody (a large
-// batch body can reach maxBodyBytes = 8 MiB) are dropped instead of
-// pooled, so a burst of huge requests cannot pin one oversized buffer
-// per P until the next GC; compose bodies are normally tens of bytes.
-var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBody = 64 << 10
-
-// readBodyBuf reads the request body through MaxBytesReader into a
-// pooled buffer; every endpoint with a body reads it here. The caller
-// owns putBodyBuf-ing the buffer when the bytes are no longer
-// referenced — the zero-alloc scanner hands out sub-slices of it, so
-// the return must happen after the request is fully served, never
-// earlier. On failure readBodyBuf writes the error response itself: an
-// overflow is an explicit 413 — and closes the connection — rather than
-// a silently-truncated prefix that might parse or an unbounded read an
-// attacker can drive to OOM; anything else is a 400.
-func readBodyBuf(w http.ResponseWriter, r *http.Request, what string) (*bytes.Buffer, bool) {
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// readBody reads the request body through MaxBytesReader; every
+// endpoint with a body reads it here, once. On failure it writes the
+// error response itself: an overflow is an explicit 413 — and closes
+// the connection — rather than a silently-truncated prefix that might
+// parse or an unbounded read an attacker can drive to OOM; anything
+// else is a 400.
+func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
-		return buf, true
+		return body, true
 	}
-	putBodyBuf(buf)
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("server: %s body exceeds %d bytes", what, tooBig.Limit))
@@ -624,15 +604,6 @@ func readBodyBuf(w http.ResponseWriter, r *http.Request, what string) (*bytes.Bu
 		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad %s request: %v", what, err))
 	}
 	return nil, false
-}
-
-// putBodyBuf recycles a body buffer. Buffers grown past maxPooledBody
-// are dropped, keeping the discipline documented on bodyBufs.
-func putBodyBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBody {
-		buf.Reset()
-		bodyBufs.Put(buf)
-	}
 }
 
 func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
@@ -651,43 +622,31 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 // it — and its response is marshaled fresh with the trace block (the
 // pre-encoded cache bytes stay trace-free).
 //
-// The request body goes through the zero-alloc scanner first: on the
-// bodies it recognizes (which is every body mapcompose and the
-// benchmarks send) the scanned view probes the result cache with
-// zero-copy strings aliasing the pooled buffer, so a cache hit decodes,
-// probes and serves without a single heap allocation for parsing —
+// The body is one bounded read and one json.Unmarshal. An untraced
+// request then probes the result cache before anything else: a hit is
+// served from the entry's stored bytes without deriving a deadline
+// context (context.WithTimeout allocates a timer per call) —
 // TestComposeHitPathAllocBound pins the whole hit path's budget.
-// Anything the scanner declines falls back to json.Unmarshal with
-// identical semantics (FuzzComposeRequest enforces the equivalence).
 func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOutcome {
-	buf, ok := readBodyBuf(w, r, "compose")
+	body, ok := readBody(w, r, "compose")
 	if !ok {
 		return outError
 	}
-	defer putBodyBuf(buf)
-	body := buf.Bytes()
-
 	var req ComposeRequest
-	if view, scanned := scanComposeRequest(body); scanned {
-		if s.cache != nil && !view.trace && len(view.from) > 0 && len(view.to) > 0 {
-			// The zero-copy fast path: probe with strings aliasing the
-			// body buffer. A hit is served entirely from stored bytes; a
-			// miss materializes the request and takes the ordinary path
-			// (which owns every string it retains).
-			if ent, ok := s.cache.probe(view.pair(s.cfgFP), s.cat.Generation()); ok {
-				s.cacheHits.Add(1)
-				writeOutcome(w, ent, cacheHit, nil)
-				return outHit
-			}
-		}
-		req = view.request()
-	} else if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad compose request: %v", err))
 		return outError
 	}
 	if req.From == "" || req.To == "" {
 		writeError(w, http.StatusBadRequest, errors.New("server: compose request needs from and to"))
 		return outError
+	}
+	if s.cache != nil && !req.Trace {
+		if ent, ok := s.cache.probe(pairKey{from: req.From, to: req.To, cfg: s.cfgFP}, s.cat.Generation()); ok {
+			s.cacheHits.Add(1)
+			writeOutcome(w, ent, cacheHit, nil)
+			return outHit
+		}
 	}
 	ctx, cancel := s.composeContext(r.Context(), req.TimeoutMS)
 	defer cancel()
@@ -738,17 +697,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // carries the same ErrorJSON body and HTTP status the pair would have
 // produced as a single compose request.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
-	buf, ok := readBodyBuf(w, r, "batch")
+	body, ok := readBody(w, r, "batch")
 	if !ok {
 		return false
 	}
-	defer putBodyBuf(buf)
-	body := buf.Bytes()
-
 	var req BatchRequest
-	if reqs, ok := scanBatchRequest(body); ok {
-		req.Requests = reqs
-	} else if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad batch request: %v", err))
 		return false
 	}

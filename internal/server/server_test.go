@@ -106,27 +106,51 @@ func TestComposeEndpoint(t *testing.T) {
 		t.Fatalf("empty result: %+v", resp.Result)
 	}
 
+	// The wire decode contract is encoding/json's: every spelling of the
+	// original→split request below decodes to the same pair, so each is
+	// a cache hit on the entry the first request stored.
+	for _, body := range []string{
+		`{"to":"split","from":"original"}`,                                 // key order is free
+		`{"FROM":"original","To":"split"}`,                                 // keys match case-insensitively
+		`{"from":"\u006friginal","to":"split"}`,                            // escapes are decoded
+		`{"from":"split","from":"original","to":"split"}`,                  // the last duplicate wins
+		`{"from":"original","to":"split","x":{"y":[1,{"z":null}],"w":""}}`, // unknown fields are ignored
+	} {
+		rec := do(t, s, "POST", "/v1/compose", body)
+		if rec.Code != http.StatusOK {
+			t.Errorf("compose %s: status %d, want 200 (%s)", body, rec.Code, rec.Body)
+			continue
+		}
+		if r := decode[ComposeResponse](t, rec); r.From != "original" || r.To != "split" || !r.Cached {
+			t.Errorf("compose %s: from=%q to=%q cached=%t, want a cached original->split hit", body, r.From, r.To, r.Cached)
+		}
+	}
+
 	// Error paths.
 	for _, tc := range []struct {
 		body string
 		code int
+		msg  string // substring of the error text, when pinned
 	}{
-		{`{"from":"original","to":"nowhere"}`, http.StatusNotFound},
-		{`{"from":"split","to":"original"}`, http.StatusNotFound}, // no reverse path
-		{`{"from":"original","to":"original"}`, http.StatusBadRequest},
-		{`{"from":"original"}`, http.StatusBadRequest},
-		{`not json`, http.StatusBadRequest},
+		{`{"from":"original","to":"nowhere"}`, http.StatusNotFound, ""},
+		{`{"from":"split","to":"original"}`, http.StatusNotFound, ""}, // no reverse path
+		{`{"from":"original","to":"original"}`, http.StatusBadRequest, ""},
+		{`{"from":"original"}`, http.StatusBadRequest, "needs from and to"},
+		{`null`, http.StatusBadRequest, "needs from and to"},
+		{`not json`, http.StatusBadRequest, "bad compose request"},
+		{`{"from":"original","to":"split","timeout_ms":1.5}`, http.StatusBadRequest, "bad compose request"},
+		{`{"from":"original","to":"split"} trailing`, http.StatusBadRequest, "bad compose request"},
 		// A compose frame of the retired binary wire (version 0x01, kind
 		// 0x01, uvarint-framed strings, timeout, trace) is just a body
 		// that is not JSON: a 400 with an error document, never a 415.
-		{"\x01\x01\x08original\x05split\x00\x00", http.StatusBadRequest},
+		{"\x01\x01\x08original\x05split\x00\x00", http.StatusBadRequest, "bad compose request"},
 	} {
 		rec := do(t, s, "POST", "/v1/compose", tc.body)
 		if rec.Code != tc.code {
 			t.Errorf("compose %s: status %d, want %d (%s)", tc.body, rec.Code, tc.code, rec.Body)
 		}
-		if e := decode[ErrorJSON](t, rec); e.Error == "" {
-			t.Errorf("compose %s: missing error body", tc.body)
+		if e := decode[ErrorJSON](t, rec); e.Error == "" || !strings.Contains(e.Error, tc.msg) {
+			t.Errorf("compose %s: error %q, want one containing %q", tc.body, e.Error, tc.msg)
 		}
 	}
 }
