@@ -6,9 +6,9 @@
 //
 // Usage:
 //
-//	mapcompd [-addr :8391] [-workers N] [-cache-bytes N] [-cache-shards N]
+//	mapcompd [-addr :8391] [-workers N] [-cache-bytes N]
 //	         [-compose-timeout D] [-data-dir DIR] [-snapshot-every N]
-//	         [-warm] [-rewarm] [-delta=false]
+//	         [-warm] [-delta=false]
 //	         [-log-format text|json] [-slow-ms N] [-debug-addr HOST:PORT]
 //	         [file.mc ...]
 //
@@ -78,13 +78,11 @@
 // whose composition route actually changed; every other entry migrates
 // in place, keeping its key and pre-encoded bytes ("entries_migrated"
 // vs "entries_dropped" in /v1/stats). -delta=false reverts to the
-// wipe-on-write baseline for A/B comparison. With -rewarm a background
-// loop recomputes invalidated pairs — hottest first — as soon as a
-// mutation drops them, so steady read traffic finds the cache already
-// rebuilt ("rewarm_queue_depth" and "rewarmed" in /v1/stats).
+// wipe-on-write baseline for A/B comparison.
 //
 // The cache is bounded by -cache-bytes (exact pre-encoded body sizes
-// plus per-entry overhead; default 64 MiB).
+// plus per-entry overhead; default and 0 mean 64 MiB, a negative value
+// disables caching) and evicts the least recently used entries.
 //
 // # Preemption
 //
@@ -122,14 +120,10 @@ import (
 func main() {
 	addr := flag.String("addr", ":8391", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "batch worker pool width (0 = GOMAXPROCS)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20,
-		"result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = bound to server.DefaultCacheSize entries instead)")
-	cacheShards := flag.Int("cache-shards", 0,
-		"result cache shards, rounded up to a power of two, max 64 (0 = derived from GOMAXPROCS); /v1/stats reports per-shard entry counts")
+	cacheBytes := flag.Int64("cache-bytes", server.DefaultCacheBytes,
+		"result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = the default, negative = no cache)")
 	delta := flag.Bool("delta", true,
 		"delta cache invalidation: migrate unaffected cache entries across catalog mutations (false = wipe-on-write baseline, for A/B)")
-	rewarm := flag.Bool("rewarm", false,
-		"recompute invalidated pairs in the background after each mutation, hottest first")
 	composeTimeout := flag.Duration("compose-timeout", 30*time.Second,
 		"server-side deadline per composition; expired deadlines return 504 (0 disables)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory (empty = memory-only)")
@@ -191,11 +185,11 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Catalog: cat, CacheBytes: *cacheBytes, CacheShards: *cacheShards,
+		Catalog: cat, CacheBytes: *cacheBytes,
 		Persist: store, ComposeTimeout: *composeTimeout,
-		DisableDelta: !*delta, Rewarm: *rewarm,
-		SlowRequest: time.Duration(*slowMS) * time.Millisecond,
-		Logger:      logger,
+		DisableDelta: !*delta,
+		SlowRequest:  time.Duration(*slowMS) * time.Millisecond,
+		Logger:       logger,
 	})
 	// ReadHeaderTimeout defeats slowloris header dribbling and
 	// IdleTimeout reaps abandoned keep-alive connections; request bodies
@@ -240,12 +234,6 @@ func main() {
 				}
 			}
 		}()
-	}
-
-	if *rewarm {
-		// Drains the delta-invalidation queue until shutdown; idle when
-		// nothing is invalidated.
-		go srv.Rewarm(ctx)
 	}
 
 	if *warm {

@@ -1,7 +1,7 @@
 // Service walkthrough: boot an in-process mapcompd server, register the
 // quickstart schema-evolution chain over HTTP, and drive the composition
-// API end to end — multi-hop chain resolution, the sharded result
-// cache, batched requests, the instrumentation counters that prove a
+// API end to end — multi-hop chain resolution, the result cache,
+// batched requests, the instrumentation counters that prove a
 // cache hit never re-runs ELIMINATE, the preemption surface: request
 // deadlines (504), oversized payloads (413), and partial-route error
 // reporting — and the observability surface: a traced compose with its
@@ -12,21 +12,18 @@
 //
 // # The result cache
 //
-// Composition results live in a sharded cache keyed on (catalog
-// generation, endpoint pair, config fingerprint). The shard count
-// derives from GOMAXPROCS (mapcompd -cache-shards overrides it), keys
-// hash to shards, and each entry stores the response pre-encoded in the
-// wire format — so a repeated request is a lock-free shard probe plus a
-// byte copy, with no JSON marshaling and no cross-shard lock traffic.
-// GET /v1/results/{key} serves the same pre-encoded bytes, and
-// /v1/stats reports the shard count and per-shard entry distribution
-// under cache_shards / cache_shard_entries.
+// Composition results live in one LRU map keyed on (endpoint pair,
+// config fingerprint) and validated against the catalog generation.
+// Each entry stores the response pre-encoded in the wire format — so a
+// repeated request is a read-locked map probe plus a byte copy, with no
+// JSON marshaling. GET /v1/results/{key} serves the same pre-encoded
+// bytes, and /v1/stats reports the entry count and byte footprint under
+// cache_entries / cache_bytes.
 //
 // Entries survive catalog mutations: each publish diffs the old and new
 // catalog snapshots and drops only the entries whose composition route
 // changed, migrating the rest in place (step 6 below shows both
-// outcomes). The cache is bounded in bytes (mapcompd -cache-bytes), and
-// -rewarm recomputes invalidated pairs in the background.
+// outcomes). The cache is bounded in bytes (mapcompd -cache-bytes).
 //
 // # Deadlines
 //
@@ -103,11 +100,11 @@ func main() {
 
 	// 5. The stats endpoint shows two compositions total (the chain and
 	// the one-hop pair) against three-plus requests served, plus the
-	// result cache's shard count and per-shard entry distribution.
+	// result cache's entry count and byte footprint.
 	stats := get(ts.URL + "/v1/stats")
 	fmt.Printf("\nstats: %s\n", stats)
-	fmt.Printf("cache shards: %v, per-shard entries: %v\n",
-		gjson(stats, "cache_shards"), gjson(stats, "cache_shard_entries"))
+	fmt.Printf("cache entries: %v, cache bytes: %v\n",
+		gjson(stats, "cache_entries"), gjson(stats, "cache_bytes"))
 
 	// 6. Cache survival. Catalog mutations no longer wipe the result
 	// cache: on every publish the server diffs the old and new snapshots
@@ -117,8 +114,7 @@ func main() {
 	// chain itself invalidates exactly the routes through it, so the
 	// next compose is cold again. /v1/stats splits each publish into
 	// entries_migrated vs entries_dropped. mapcompd -delta=false reverts
-	// to wipe-on-write for A/B, and -rewarm recomputes dropped pairs in
-	// the background, hottest first.
+	// to wipe-on-write for A/B.
 	post(ts.URL+"/v1/register", "text/plain", "schema unrelated { U/1; }")
 	survived := post(ts.URL+"/v1/compose", "application/json", `{"from":"original","to":"split"}`)
 	fmt.Printf("\nafter an unrelated registration: cached=%v, key=%v (entry migrated in place)\n",

@@ -137,8 +137,9 @@ type Delta struct {
 	// Lost lists pairs reachable in the old snapshot but not the new.
 	Lost [][2]string
 	// Gained lists pairs reachable in the new snapshot but not the old
-	// — nothing cached can exist for them, but they are rewarm
-	// candidates.
+	// — nothing cached can exist for them. With Changed and Lost it
+	// completes the classification: every pair whose reachability or
+	// route differs is in exactly one of the three lists.
 	Gained [][2]string
 
 	stale map[[2]string]struct{} // Changed ∪ Lost

@@ -25,7 +25,7 @@ func BenchmarkServerCompose(b *testing.B) {
 			benchCompose(b, Config{}, workers)
 		})
 		b.Run(fmt.Sprintf("cold/workers=%d", workers), func(b *testing.B) {
-			benchCompose(b, Config{CacheSize: -1}, workers)
+			benchCompose(b, Config{CacheBytes: -1}, workers)
 		})
 	}
 }
@@ -84,11 +84,10 @@ func saturate(b *testing.B, s *Server, method, path string, body []byte) {
 // BenchmarkServerComposeSaturated drives the compose handler directly
 // (no TCP client in the way) from GOMAXPROCS-scaled goroutines, all
 // hitting the warm cache for one hot pair. At this saturation the
-// handler's only real work is decoding the request, the lock-free shard
-// probe and copying the entry's pre-encoded bytes to the writer — run
-// with -cpu 1,4,8 to see how the hit path scales (EXPERIMENTS.md
-// records the single-LRU + per-hit-marshal baseline against the sharded
-// pre-encoded cache).
+// handler's only real work is decoding the request, the read-locked
+// cache probe and copying the entry's pre-encoded bytes to the writer —
+// run with -cpu 1,4,8 to see how the hit path scales (EXPERIMENTS.md
+// records the per-hit-marshal baseline against the pre-encoded cache).
 func BenchmarkServerComposeSaturated(b *testing.B) {
 	s := New(Config{})
 	req := httptest.NewRequest("POST", "/v1/register", bytes.NewReader([]byte(chainTask)))

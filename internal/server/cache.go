@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -16,25 +15,20 @@ import (
 // watermark is ≥ G, so entries survive catalog mutations that do not
 // affect their route: on every publish the serving layer migrates
 // unaffected entries in place by bumping their watermark (an atomic
-// store — no re-encode, no map copy) and drops only the entries the
-// snapshot delta names (see migrate). A mutation therefore invalidates
-// the few pairs it actually changed instead of orphaning the cache.
+// store — no re-encode) and drops only the entries the snapshot delta
+// names (see migrate). A mutation therefore invalidates the few pairs
+// it actually changed instead of orphaning the cache.
 //
-// The cache is sharded: pairs hash to one of a power-of-two number of
-// shards (derived from GOMAXPROCS unless overridden), so concurrent
-// requests for distinct pairs never contend on a shared lock. Within a
-// shard, mutations — inserts, evictions, migration drops and the
-// singleflight book-keeping — serialize under the shard mutex, while
-// lookups are lock-free: each shard publishes an immutable view of its
-// entries through an atomic pointer (the same copy-on-write discipline
-// as internal/catalog), and a hit only loads the pointer, probes a map
-// that is never mutated after publication, checks the watermark and
-// bumps the entry's recency clock. Eviction is approximate LRU per
-// shard, bounded by entries and by bytes: entries carry an atomically
-// updated use counter and their exact wire size (the pre-encoded body
-// plus fixed overhead), and the least recently used entry is dropped
-// while the shard exceeds either its slice of the global entry bound or
-// of the global byte budget.
+// One map (plus its rendered-key index) sits behind one RWMutex. Hits —
+// probe and get — hold the read lock for a map lookup and the
+// watermark check, and stamp the entry's recency from one atomic clock.
+// Mutations — inserts, evictions, migration and the singleflight
+// book-keeping — hold the write lock and edit the maps in place.
+// Eviction is LRU by that clock, bounded by bytes: entries carry their
+// exact wire size (the pre-encoded body plus fixed overhead), and the
+// least recently used entry, found by a scan, is dropped while the
+// cache exceeds its byte budget. The scan runs only on a miss, whose
+// composition costs orders of magnitude more.
 //
 // Every stored entry carries the response pre-encoded in the wire
 // encoding with cached=true (see newCacheEntry), so the serving layer
@@ -46,14 +40,14 @@ import (
 // response body — is provably identical at the new generation.
 //
 // Concurrent requests for the same pair at the same observed generation
-// are coalesced singleflight-style per shard: the first caller
-// computes, every caller that arrives while the computation is in
-// flight waits for it and shares the outcome, so N identical requests
-// cost one ELIMINATE run, not N. Flights are keyed by (pair, observed
-// generation) — a request that observed a newer snapshot never adopts
-// the result of a flight started under an older one, so a migration (or
-// an invalidation) racing a hit can at worst cause an extra
-// computation, never a stale response.
+// are coalesced singleflight-style: the first caller computes, every
+// caller that arrives while the computation is in flight waits for it
+// and shares the outcome, so N identical requests cost one ELIMINATE
+// run, not N. Flights are keyed by (pair, observed generation) — a
+// request that observed a newer snapshot never adopts the result of a
+// flight started under an older one, so a migration (or an
+// invalidation) racing a hit can at worst cause an extra computation,
+// never a stale response.
 //
 // Cancellation never poisons the cache. A waiter whose own context ends
 // stops waiting and reports its context's error. A leader preempted by
@@ -83,8 +77,8 @@ type flightKey struct {
 
 // entryOverhead approximates the fixed per-entry cost beyond the
 // pre-encoded body: the entry struct, the decoded response it retains,
-// and its slots in the two view maps. It keeps byte accounting honest
-// for caches full of tiny results.
+// and its slots in the two maps. It keeps byte accounting honest for
+// caches full of tiny results.
 const entryOverhead = 512
 
 // cacheEntry is one stored result: the decoded response (Cached=false,
@@ -98,7 +92,7 @@ type cacheEntry struct {
 	enc  []byte        // pre-encoded wire body with cached=true; nil only if encoding failed
 	size int64         // exact byte charge: len(enc)+len(skey)+entryOverhead
 	gen  atomic.Uint64 // validated-at watermark; bumped in place by migrate
-	used atomic.Int64  // shard clock value at last touch (approximate LRU)
+	used atomic.Int64  // cache clock value at last touch (LRU recency)
 }
 
 // newCacheEntry builds the stored form of a freshly computed response,
@@ -137,132 +131,31 @@ const (
 	coalesced                // waited on another caller's computation
 )
 
-// shardView is the immutable snapshot a shard publishes: both maps are
-// built under the shard mutex and never mutated after the pointer swap,
-// so readers need no lock. bytes is the summed size of items.
-type shardView struct {
-	items    map[pairKey]*cacheEntry
-	byString map[string]*cacheEntry
-	bytes    int64
-}
-
-var emptyShardView = &shardView{
-	items:    map[pairKey]*cacheEntry{},
-	byString: map[string]*cacheEntry{},
-}
-
-type cacheShard struct {
-	view  atomic.Pointer[shardView]
+type resultCache struct {
 	clock atomic.Int64 // recency clock; bumped on every touch
 
-	mu       sync.Mutex // guards view mutations and calls
+	mu       sync.RWMutex // read-held by hits; write-held by every mutation
+	items    map[pairKey]*cacheEntry
+	byString map[string]*cacheEntry
+	bytes    int64 // summed size of items
+	maxBytes int64
 	calls    map[flightKey]*call
-	max      int   // this shard's slice of the global entry bound; 0 = unbounded
-	maxBytes int64 // this shard's slice of the global byte budget; 0 = unbounded
 }
 
-type resultCache struct {
-	shards []*cacheShard
-	mask   uint64
+// newResultCache builds a cache bounded to maxBytes bytes (> 0).
+func newResultCache(maxBytes int64) *resultCache {
+	return &resultCache{
+		items:    make(map[pairKey]*cacheEntry),
+		byString: make(map[string]*cacheEntry),
+		maxBytes: maxBytes,
+		calls:    make(map[flightKey]*call),
+	}
 }
 
-// minShardCap is the smallest per-shard entry capacity worth sharding
-// for: below it the shard count is halved so tiny caches keep exact
-// bounds (and the degenerate 1-shard cache behaves like the old single
-// LRU). minShardBytes is the byte-budget equivalent for caches bounded
-// only by bytes.
-const (
-	minShardCap   = 8
-	minShardBytes = 16 << 10
-)
-
-// defaultShardCount derives the shard count from GOMAXPROCS, rounded up
-// to a power of two and capped at 64 — beyond the core count extra
-// shards only spread the same contention thinner.
-func defaultShardCount() int {
-	n := nextPow2(runtime.GOMAXPROCS(0))
-	if n > 64 {
-		n = 64
-	}
-	return n
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// newResultCache builds a cache bounded to max entries (0 = no entry
-// bound) and maxBytes bytes (0 = no byte budget) across shards shards
-// (0 = derived from GOMAXPROCS; other values round up to a power of
-// two, capped at 64 like the derivation — the cap also keeps an absurd
-// -cache-shards from overflowing nextPow2). The shard count is reduced
-// until every shard's slice of whichever bound is active stays useful,
-// so small caches keep tight bounds.
-func newResultCache(max int, maxBytes int64, shards int) *resultCache {
-	n := shards
-	if n <= 0 {
-		n = defaultShardCount()
-	}
-	if n > 64 {
-		n = 64
-	}
-	n = nextPow2(n)
-	for n > 1 {
-		if max > 0 && max/n < minShardCap {
-			n >>= 1
-			continue
-		}
-		if max == 0 && maxBytes > 0 && maxBytes/int64(n) < minShardBytes {
-			n >>= 1
-			continue
-		}
-		break
-	}
-	c := &resultCache{shards: make([]*cacheShard, n), mask: uint64(n - 1)}
-	base, rem := max/n, max%n
-	bBase, bRem := maxBytes/int64(n), maxBytes%int64(n)
-	for i := range c.shards {
-		capacity := base
-		if max > 0 && i < rem {
-			capacity++
-		}
-		budget := bBase
-		if maxBytes > 0 && int64(i) < bRem {
-			budget++
-		}
-		sh := &cacheShard{calls: make(map[flightKey]*call), max: capacity, maxBytes: budget}
-		sh.view.Store(emptyShardView)
-		c.shards[i] = sh
-	}
-	return c
-}
-
-// shard selects the shard for pair by FNV-1a over the pair fields; the
-// hash never allocates (no rendered key string on the probe path).
-func (c *resultCache) shard(pair pairKey) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(pair.from); i++ {
-		h = (h ^ uint64(pair.from[i])) * prime64
-	}
-	h = (h ^ 0xff) * prime64 // separator: ("ab","c") must differ from ("a","bc")
-	for i := 0; i < len(pair.to); i++ {
-		h = (h ^ uint64(pair.to[i])) * prime64
-	}
-	h = (h ^ pair.cfg) * prime64
-	return c.shards[h&c.mask]
-}
-
-// touch records a use for approximate-LRU eviction.
-func (sh *cacheShard) touch(ent *cacheEntry) {
-	ent.used.Store(sh.clock.Add(1))
+// touch records a use for LRU eviction. Callers hold c.mu (either mode);
+// the stamp is atomic because readers stamp concurrently.
+func (c *resultCache) touch(ent *cacheEntry) {
+	ent.used.Store(c.clock.Add(1))
 }
 
 // do returns the entry for pair valid at generation gen, computing it
@@ -278,28 +171,26 @@ func (sh *cacheShard) touch(ent *cacheEntry) {
 // comment). The stored entry's skey is the computed response's Key
 // field, rendered once inside the computation.
 func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute func(context.Context) (*ComposeResponse, uint64, error)) (*cacheEntry, hitKind, error) {
-	sh := c.shard(pair)
 	fk := flightKey{pair: pair, gen: gen}
 	for {
-		// Lock-free probe, and before honouring the deadline: a hit
-		// costs microseconds, so even an already-expired request is
-		// served its cached response rather than a pointless 504.
-		if ent := sh.lookup(pair, gen); ent != nil {
+		// Probe before honouring the deadline: a hit costs microseconds,
+		// so even an already-expired request is served its cached
+		// response rather than a pointless 504.
+		if ent, ok := c.probe(pair, gen); ok {
 			return ent, cacheHit, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, computed, context.Cause(ctx)
 		}
-		sh.mu.Lock()
-		// Re-probe under the mutex: a computation or a migration may
-		// have completed between the lock-free miss and the lock
-		// acquisition.
-		if ent := sh.lookup(pair, gen); ent != nil {
-			sh.mu.Unlock()
+		c.mu.Lock()
+		// Re-probe under the write lock: a computation or a migration may
+		// have completed between the read-locked miss and the acquisition.
+		if ent := c.lookup(pair, gen); ent != nil {
+			c.mu.Unlock()
 			return ent, cacheHit, nil
 		}
-		if cl, ok := sh.calls[fk]; ok {
-			sh.mu.Unlock()
+		if cl, ok := c.calls[fk]; ok {
+			c.mu.Unlock()
 			select {
 			case <-cl.done:
 				if cl.abandoned {
@@ -311,99 +202,68 @@ func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute 
 			}
 		}
 		cl := &call{done: make(chan struct{})}
-		sh.calls[fk] = cl
-		sh.mu.Unlock()
+		c.calls[fk] = cl
+		c.mu.Unlock()
 
 		resp, snapGen, err := compute(ctx)
 		cl.err = err
 		if err == nil {
-			// Encode outside the lock: the store below is map copies only.
+			// Encode outside the lock: the store below is map edits only.
 			cl.ent = newCacheEntry(pair, resp, snapGen)
 		}
 
-		sh.mu.Lock()
-		delete(sh.calls, fk)
+		c.mu.Lock()
+		delete(c.calls, fk)
 		switch {
 		case err == nil:
-			sh.touch(cl.ent)
-			sh.insertLocked(cl.ent)
+			c.touch(cl.ent)
+			c.insertLocked(cl.ent)
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			cl.abandoned = true
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		close(cl.done)
 		return cl.ent, computed, cl.err
 	}
 }
 
-// insertLocked publishes a new view containing ent, evicting the least
-// recently used entries while the shard exceeds its entry capacity or
-// byte budget. If the pair is already cached with an equally fresh or
-// fresher watermark, the existing entry wins — its response is provably
-// byte-identical at any generation both are valid for, and keeping it
-// skips the view copy. Callers hold sh.mu.
-//
-// The full-map copy per insert is the deliberate price of lock-free
-// readers: the published maps must never be mutated (Go maps tolerate
-// no concurrent read/write), so "mutate then republish the pointer"
-// is not an option. The copy is O(shard capacity) — at the default
-// 256 entries spread over the shards it is microseconds — and it only
-// runs on a miss, whose composition costs orders of magnitude more;
-// raise the shard count before raising per-shard capacity if inserts
-// ever show up in a profile.
-func (sh *cacheShard) insertLocked(ent *cacheEntry) {
-	old := sh.view.Load()
-	if prev := old.items[ent.pair]; prev != nil && prev.gen.Load() >= ent.gen.Load() {
-		sh.touch(prev)
-		return
-	}
-	next := &shardView{
-		items:    make(map[pairKey]*cacheEntry, len(old.items)+1),
-		byString: make(map[string]*cacheEntry, len(old.byString)+1),
-		bytes:    old.bytes,
-	}
-	for k, e := range old.items {
-		next.items[k] = e
-	}
-	for k, e := range old.byString {
-		next.byString[k] = e
-	}
-	if prev := next.items[ent.pair]; prev != nil {
-		next.bytes -= prev.size
-		if next.byString[prev.skey] == prev {
-			delete(next.byString, prev.skey)
+// insertLocked stores ent, evicting the least recently used entries
+// while the cache exceeds its byte budget. If the pair is already
+// cached with an equally fresh or fresher watermark, the existing entry
+// wins — its response is provably byte-identical at any generation both
+// are valid for. Callers hold c.mu for writing.
+func (c *resultCache) insertLocked(ent *cacheEntry) {
+	if prev := c.items[ent.pair]; prev != nil {
+		if prev.gen.Load() >= ent.gen.Load() {
+			c.touch(prev)
+			return
 		}
+		c.removeLocked(prev)
 	}
-	next.items[ent.pair] = ent
-	next.byString[ent.skey] = ent
-	next.bytes += ent.size
-	for (sh.max > 0 && len(next.items) > sh.max) || (sh.maxBytes > 0 && next.bytes > sh.maxBytes) {
+	c.items[ent.pair] = ent
+	c.byString[ent.skey] = ent
+	c.bytes += ent.size
+	for c.bytes > c.maxBytes && len(c.items) > 0 {
 		var victim *cacheEntry
-		for _, e := range next.items {
+		for _, e := range c.items {
 			if victim == nil || e.used.Load() < victim.used.Load() {
 				victim = e
 			}
 		}
-		delete(next.items, victim.pair)
-		next.bytes -= victim.size
-		// A duplicate skey (possible only for hand-built entries with
-		// colliding Key fields) must not unlink a survivor's handle.
-		if next.byString[victim.skey] == victim {
-			delete(next.byString, victim.skey)
-		}
-		if len(next.items) == 0 {
-			break
-		}
+		c.removeLocked(victim)
 	}
-	sh.view.Store(next)
 }
 
-// droppedPair records one entry a migration dropped, with its recency
-// clock value: the rewarm queue uses the recency to recompute the
-// hottest invalidated pairs first.
-type droppedPair struct {
-	pair pairKey
-	used int64
+// removeLocked unlinks ent from both maps. Callers hold c.mu for
+// writing.
+func (c *resultCache) removeLocked(ent *cacheEntry) {
+	delete(c.items, ent.pair)
+	c.bytes -= ent.size
+	// A duplicate skey (possible only for hand-built entries with
+	// colliding Key fields) must not unlink a survivor's handle.
+	if c.byString[ent.skey] == ent {
+		delete(c.byString, ent.skey)
+	}
 }
 
 // migration summarizes one cache transition across a catalog publish.
@@ -416,7 +276,6 @@ type migration struct {
 	candidates int
 	migrated   int
 	dropped    int
-	droppedHot []droppedPair
 }
 
 // migrate transitions the cache across a catalog publish oldGen→newGen.
@@ -426,151 +285,87 @@ type migration struct {
 // is disabled. For every entry validated before newGen: if its route is
 // unchanged and its watermark is exactly the published range's floor or
 // newer, the watermark is bumped to newGen in place — the entry keeps
-// its identity, its pre-encoded bytes and its recency, and concurrent
-// lock-free hits keep being served off the existing view throughout.
-// Entries whose route changed are dropped, as are strays validated
-// before oldGen (an insert that raced past earlier publishes; its route
-// may have changed across a span this delta does not cover, so dropping
-// is the conservative choice — the next request recomputes).
+// its identity, its pre-encoded bytes and its recency. Entries whose
+// route changed are dropped, as are strays validated before oldGen (an
+// insert that raced past earlier publishes; its route may have changed
+// across a span this delta does not cover, so dropping is the
+// conservative choice — the next request recomputes).
 func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(from, to string) bool) migration {
 	var m migration
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		old := sh.view.Load()
-		var drops []*cacheEntry
-		for _, e := range old.items {
-			g := e.gen.Load()
-			if g >= newGen {
-				continue
-			}
-			m.candidates++
-			if g < oldGen || invalid == nil || invalid(e.pair.from, e.pair.to) {
-				drops = append(drops, e)
-				continue
-			}
-			e.gen.Store(newGen)
-			m.migrated++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.items {
+		g := e.gen.Load()
+		if g >= newGen {
+			continue
 		}
-		if len(drops) > 0 {
-			m.dropped += len(drops)
-			next := &shardView{
-				items:    make(map[pairKey]*cacheEntry, len(old.items)),
-				byString: make(map[string]*cacheEntry, len(old.byString)),
-				bytes:    old.bytes,
-			}
-			for k, e := range old.items {
-				next.items[k] = e
-			}
-			for k, e := range old.byString {
-				next.byString[k] = e
-			}
-			for _, e := range drops {
-				delete(next.items, e.pair)
-				next.bytes -= e.size
-				if next.byString[e.skey] == e {
-					delete(next.byString, e.skey)
-				}
-				m.droppedHot = append(m.droppedHot, droppedPair{pair: e.pair, used: e.used.Load()})
-			}
-			sh.view.Store(next)
+		m.candidates++
+		if g < oldGen || invalid == nil || invalid(e.pair.from, e.pair.to) {
+			c.removeLocked(e)
+			m.dropped++
+			continue
 		}
-		sh.mu.Unlock()
+		e.gen.Store(newGen)
+		m.migrated++
 	}
 	return m
 }
 
-// probe is the one fast lookup: a lock-free load of the shard's view
-// and the watermark check, with no lock, flight or context. serveCompose
-// calls it with the decoded request strings before deriving a deadline
-// context, so a hit never pays context.WithTimeout; do starts with the
-// same lookup. Misses fall through to do.
+// probe is the one fast lookup: a read-locked map lookup and the
+// watermark check, with no flight or context. serveCompose calls it
+// with the decoded request strings before deriving a deadline context,
+// so a hit never pays context.WithTimeout; do starts with it. Misses
+// fall through to do.
 func (c *resultCache) probe(pair pairKey, gen uint64) (*cacheEntry, bool) {
-	ent := c.shard(pair).lookup(pair, gen)
+	c.mu.RLock()
+	ent := c.lookup(pair, gen)
+	c.mu.RUnlock()
 	return ent, ent != nil
 }
 
 // lookup returns the entry for pair if its watermark is ≥ gen, touching
-// it for recency; nil otherwise. It takes no lock: the view is an
-// immutable snapshot.
-func (sh *cacheShard) lookup(pair pairKey, gen uint64) *cacheEntry {
-	if ent := sh.view.Load().items[pair]; ent != nil && ent.gen.Load() >= gen {
-		sh.touch(ent)
+// it for recency; nil otherwise. Callers hold c.mu (either mode).
+func (c *resultCache) lookup(pair pairKey, gen uint64) *cacheEntry {
+	if ent := c.items[pair]; ent != nil && ent.gen.Load() >= gen {
+		c.touch(ent)
 		return ent
 	}
 	return nil
 }
 
-// valid reports whether pair is cached with a watermark ≥ gen — i.e.
-// whether a request observing gen would hit. Warm uses it to skip pairs
-// that survived a migration.
-func (c *resultCache) valid(pair pairKey, gen uint64) bool {
-	ent := c.shard(pair).view.Load().items[pair]
-	return ent != nil && ent.gen.Load() >= gen
-}
-
-// get fetches a cached entry by its rendered key. The shard is not
-// derivable from the string without re-parsing it, so all shards are
-// probed — each probe is one lock-free pointer load and map lookup, and
-// GET /v1/results is far off the hot path.
+// get fetches a cached entry by its rendered key.
 func (c *resultCache) get(skey string) (*cacheEntry, bool) {
-	for _, sh := range c.shards {
-		if ent := sh.view.Load().byString[skey]; ent != nil {
-			sh.touch(ent)
-			return ent, true
-		}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ent := c.byString[skey]
+	if ent != nil {
+		c.touch(ent)
 	}
-	return nil, false
+	return ent, ent != nil
 }
 
-// len reports the number of cached entries across all shards.
+// stats reports the entry count and their summed size, read under one
+// lock so the two describe the same set of entries.
+func (c *resultCache) stats() (entries int, bytes int64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.items), c.bytes
+}
+
+// len reports the number of cached entries.
 func (c *resultCache) len() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += len(sh.view.Load().items)
-	}
+	n, _ := c.stats()
 	return n
-}
-
-// bytes reports the summed size of all cached entries, for /v1/stats.
-func (c *resultCache) bytes() int64 {
-	var n int64
-	for _, sh := range c.shards {
-		n += sh.view.Load().bytes
-	}
-	return n
-}
-
-// cacheStats is a mutually consistent cache summary: every number is
-// derived from a single load of each shard's published view, so the
-// total always equals the per-shard sum and the byte count describes
-// exactly the counted entries — three separate sweeps (len, bytes,
-// shardLens) could each observe a different set of views under load.
-type cacheStats struct {
-	entries  int
-	bytes    int64
-	perShard []int
-}
-
-// stats collects the consistent summary /v1/stats serves.
-func (c *resultCache) stats() cacheStats {
-	out := cacheStats{perShard: make([]int, len(c.shards))}
-	for i, sh := range c.shards {
-		v := sh.view.Load()
-		out.perShard[i] = len(v.items)
-		out.entries += len(v.items)
-		out.bytes += v.bytes
-	}
-	return out
 }
 
 // keys snapshots every cached pair; tests use it to assert invariants
 // (e.g. that no abandoned flight was ever stored).
 func (c *resultCache) keys() []pairKey {
-	var out []pairKey
-	for _, sh := range c.shards {
-		for k := range sh.view.Load().items {
-			out = append(out, k)
-		}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]pairKey, 0, len(c.items))
+	for k := range c.items {
+		out = append(out, k)
 	}
 	return out
 }

@@ -3,8 +3,8 @@ package server
 // Tests for generation-delta cache survival: the equivalence property
 // test (delta-invalidated cache ≡ wipe-everything cache ≡ full
 // recompute, byte for byte), the -race migration hammer (registration
-// storm against saturated reads, counter identity per publish), the
-// warm-skip behaviour and the background rewarm loop.
+// storm against saturated reads, counter identity per publish) and the
+// warm-skip behaviour.
 
 import (
 	"bytes"
@@ -15,7 +15,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 )
 
 // clusterTask renders a self-contained registration body for cluster i:
@@ -95,7 +94,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	const clusters = 6
 	delta := New(Config{})
 	wipe := New(Config{DisableDelta: true})
-	oracle := New(Config{CacheSize: -1})
+	oracle := New(Config{CacheBytes: -1})
 	servers := []*Server{delta, wipe, oracle}
 
 	apply := func(body string) {
@@ -180,11 +179,15 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 // saturated concurrent composes under -race, asserting on every single
 // publish the counter identity candidates = migrated + dropped — every
 // pre-publish entry is classified exactly once, none lost, none seen
-// twice — and that no request ever observes a torn view (non-200, or a
-// response for the wrong pair).
+// twice — that no request ever observes a torn view (non-200, or a
+// response for the wrong pair), and that the cache stays within its
+// byte budget, which is small enough to evict during the storm.
 func TestMigrationHammer(t *testing.T) {
-	const clusters = 4
-	s := New(Config{CacheShards: 8})
+	const (
+		clusters = 4
+		budget   = 8 << 10
+	)
+	s := New(Config{CacheBytes: budget})
 	var mu sync.Mutex
 	var records []migrationRecord
 	s.migrateHook = func(r migrationRecord) {
@@ -264,6 +267,9 @@ func TestMigrationHammer(t *testing.T) {
 		}
 		lastGen = r.toGen
 	}
+	if st := s.Stats(); st.CacheBytes > budget {
+		t.Fatalf("cache bytes = %d, exceeds the %d budget", st.CacheBytes, budget)
+	}
 }
 
 // TestWarmSkipsMigratedEntries: a warm-up after entries survived a
@@ -300,68 +306,5 @@ func TestWarmSkipsMigratedEntries(t *testing.T) {
 	}
 	if got := s.Stats().Composes; got != before+3 {
 		t.Fatalf("composes = %d, want %d", got, before+3)
-	}
-}
-
-// TestRewarmRebuildsInvalidatedPairs: with -rewarm semantics enabled, a
-// route-changing mutation queues the dropped pairs and the background
-// loop recomputes them without any client request; the next request is
-// a hit.
-func TestRewarmRebuildsInvalidatedPairs(t *testing.T) {
-	s := New(Config{Rewarm: true})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rewarmDone := make(chan struct{})
-	go func() { defer close(rewarmDone); s.Rewarm(ctx) }()
-
-	if rec := do(t, s, "POST", "/v1/register", clusterTask(0)); rec.Code != http.StatusOK {
-		t.Fatalf("register: %d %s", rec.Code, rec.Body)
-	}
-	for _, p := range clusterPairs(0) {
-		if rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":%q,"to":%q}`, p[0], p[1])); rec.Code != http.StatusOK {
-			t.Fatalf("compose: %d %s", rec.Code, rec.Body)
-		}
-	}
-	composesBefore := s.Stats().Composes
-
-	// Invalidate the cluster; the rewarm loop must rebuild all three
-	// pairs on its own.
-	if rec := do(t, s, "POST", "/v1/register", clusterTask(0)); rec.Code != http.StatusOK {
-		t.Fatalf("re-register: %d %s", rec.Code, rec.Body)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := s.Stats()
-		if st.Rewarmed >= 3 && st.RewarmQueueDepth == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rewarm never completed: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := s.Stats().Composes; got != composesBefore+3 {
-		t.Fatalf("rewarm composes = %d, want %d", got, composesBefore+3)
-	}
-
-	// Every pair is a hit now — the client pays nothing post-mutation.
-	for _, p := range clusterPairs(0) {
-		rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":%q,"to":%q}`, p[0], p[1]))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("compose: %d %s", rec.Code, rec.Body)
-		}
-		if resp := decode[ComposeResponse](t, rec); !resp.Cached {
-			t.Fatalf("pair %v not rewarmed", p)
-		}
-	}
-	if got := s.Stats().Composes; got != composesBefore+3 {
-		t.Fatalf("post-rewarm requests recomputed: composes = %d, want %d", got, composesBefore+3)
-	}
-
-	cancel()
-	select {
-	case <-rewarmDone:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Rewarm loop did not stop on context cancellation")
 	}
 }

@@ -131,7 +131,7 @@ func TestWarmFillsCache(t *testing.T) {
 
 // TestWarmRespectsDisabledCache: with caching off Warm is a no-op.
 func TestWarmRespectsDisabledCache(t *testing.T) {
-	s := New(Config{CacheSize: -1})
+	s := New(Config{CacheBytes: -1})
 	if rec := do(t, s, "POST", "/v1/register", chainTask); rec.Code != http.StatusOK {
 		t.Fatalf("register: %d %s", rec.Code, rec.Body)
 	}

@@ -1,12 +1,11 @@
 package server
 
-// Saturation tests for the sharded result cache: many goroutines
-// hammering one hot key plus a spread of cold keys across shards while
-// registrations bump the catalog generation, all under -race. They
-// assert the accounting identity (every successful compose request is
-// exactly one of computed / coalesced / hit) and the preemption
-// invariant (an abandoned flight is never stored), which together are
-// the behaviours the sharding must not have changed.
+// Saturation tests for the result cache: many goroutines hammering one
+// hot key plus a spread of cold keys while registrations bump the
+// catalog generation, all under -race. They assert the accounting
+// identity (every successful compose request is exactly one of
+// computed / coalesced / hit), the byte bound, and the preemption
+// invariant (an abandoned flight is never stored).
 
 import (
 	"context"
@@ -20,7 +19,7 @@ import (
 
 // newSaturationServer registers numPairs-1 disjoint one-hop graphs
 // (a<i> -> b<i>) next to the chainTask movie graph, so cold traffic
-// spreads keys across every shard, plus one two-hop chain
+// spreads over many keys, plus one two-hop chain
 // a15 -> m15 -> b15 reserved for the preemption storm: composing it
 // runs ELIMINATE over the intermediate symbol, which is what gives a
 // request deadline something to preempt (a one-hop pair has no
@@ -28,9 +27,14 @@ import (
 // even under an expired deadline, by design).
 const numPairs = 16
 
+// saturationBudget is the saturation server's cache byte budget: small
+// enough (a few entries) that the cold traffic keeps evicting under
+// concurrent hits and migrations.
+const saturationBudget = 8 << 10
+
 func newSaturationServer(t *testing.T) *Server {
 	t.Helper()
-	s := New(Config{CacheSize: 512, CacheShards: 8})
+	s := New(Config{CacheBytes: saturationBudget})
 	var sb strings.Builder
 	sb.WriteString(chainTask)
 	for i := 0; i < numPairs-1; i++ {
@@ -45,29 +49,12 @@ func newSaturationServer(t *testing.T) *Server {
 	return s
 }
 
-// TestCacheShardClamp pins the shard-count clamp: an absurd
-// -cache-shards lands on the 64 cap (before the clamp, 2^62+1 made
-// nextPow2 overflow int and loop forever, hanging the daemon at boot),
-// and a tiny cache collapses to one shard so its bound stays exact.
-func TestCacheShardClamp(t *testing.T) {
-	if got := len(newResultCache(512, 0, (1<<62)+1).shards); got != 64 {
-		t.Fatalf("shards = %d, want the 64 cap", got)
-	}
-	if got := len(newResultCache(4, 0, 8).shards); got != 1 {
-		t.Fatalf("tiny cache shards = %d, want 1", got)
-	}
-	// A bytes-only bound clamps the same way: too small a budget to
-	// slice usefully collapses to one shard.
-	if got := len(newResultCache(0, 8<<10, 8).shards); got != 1 {
-		t.Fatalf("tiny byte-budget shards = %d, want 1", got)
-	}
-}
-
 // TestShardedCacheSaturation drives the mixed workload and checks that
 // the computed+coalesced+hit counters sum to the total number of
-// successful compose requests: the sharded singleflight must classify
-// every request exactly once, with no double counting across shards and
-// no request lost between the lock-free probe and the mutex re-probe.
+// successful compose requests: the singleflight must classify every
+// request exactly once, with no request lost or double counted between
+// the read-locked probe and the write-locked re-probe, and that the
+// cache never exceeds its byte budget.
 func TestShardedCacheSaturation(t *testing.T) {
 	s := newSaturationServer(t)
 	const (
@@ -144,18 +131,8 @@ func TestShardedCacheSaturation(t *testing.T) {
 	if stats.CacheHits == 0 {
 		t.Fatal("saturation produced no cache hits")
 	}
-	if stats.CacheShards != 8 {
-		t.Fatalf("cache shards = %d, want 8", stats.CacheShards)
-	}
-	sum := 0
-	for _, n := range stats.CacheShardEntries {
-		sum += n
-	}
-	if sum != stats.CacheEntries {
-		t.Fatalf("shard entries %v sum to %d, want cache_entries %d", stats.CacheShardEntries, sum, stats.CacheEntries)
-	}
-	if stats.CacheEntries > 512 {
-		t.Fatalf("cache entries = %d, exceeds the global bound 512", stats.CacheEntries)
+	if stats.CacheBytes > saturationBudget {
+		t.Fatalf("cache bytes = %d, exceeds the %d budget", stats.CacheBytes, saturationBudget)
 	}
 }
 

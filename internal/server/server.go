@@ -1,18 +1,17 @@
 // Package server implements the mapcompd HTTP/JSON API: a serving layer
 // over internal/catalog that registers schemas and mappings (accepting
 // the internal/parser text format as the wire payload) and answers
-// single and batched composition requests. Results are cached in a
-// bounded, sharded cache keyed on (endpoint pair, config fingerprint)
+// single and batched composition requests. Results are cached in one
+// byte-bounded LRU map keyed on (endpoint pair, config fingerprint)
 // with the catalog generation as a validated-at watermark: entries
 // store the response pre-encoded in the wire format, so repeated
 // requests are served without re-running ELIMINATE and without
-// marshaling anything — a hit is a lock-free shard probe plus a byte
+// marshaling anything — a hit is a read-locked map probe plus a byte
 // copy to the socket — and identical in-flight requests are coalesced
 // to a single computation. Catalog mutations do not wipe the cache: a
 // publish hook diffs the old and new snapshots (catalog.ComputeDelta),
-// drops only the entries whose route actually changed, migrates every
-// other entry in place by bumping its watermark, and optionally feeds
-// the invalidated pairs to a background rewarm loop (hot pairs first).
+// drops only the entries whose route actually changed, and migrates
+// every other entry in place by bumping its watermark.
 // Everything is stdlib net/http; the server is safe for concurrent use.
 //
 // Endpoints (all under /v1):
@@ -47,8 +46,8 @@ import (
 	"mapcomp/internal/persist"
 )
 
-// DefaultCacheSize bounds the result cache when Config.CacheSize is 0.
-const DefaultCacheSize = 256
+// DefaultCacheBytes bounds the result cache when Config.CacheBytes is 0.
+const DefaultCacheBytes = 64 << 20
 
 // maxBodyBytes bounds request bodies; task files in the text format are
 // small (the paper-scale suite is a few hundred KB).
@@ -61,22 +60,12 @@ const maxBatch = 1024
 type Config struct {
 	// Catalog is the backing store; nil creates a fresh empty catalog.
 	Catalog *catalog.Catalog
-	// CacheSize bounds the result cache in entries. 0 means
-	// DefaultCacheSize unless CacheBytes sets a byte budget; negative
-	// disables caching and coalescing entirely (used by the cold-path
-	// benchmark and the tests' uncached oracle). mapcompd bounds its
-	// cache by -cache-bytes only; this is the exact entry bound for
-	// callers that want one.
-	CacheSize int
 	// CacheBytes bounds the result cache by exact byte footprint
-	// (pre-encoded body sizes plus fixed per-entry overhead). 0 means
-	// no byte budget. Both bounds apply when both are set.
+	// (pre-encoded body sizes plus fixed per-entry overhead;
+	// mapcompd's -cache-bytes). 0 means DefaultCacheBytes; negative
+	// disables caching and coalescing entirely (used by the cold-path
+	// benchmark and the tests' uncached oracle).
 	CacheBytes int64
-	// CacheShards sets the result cache's shard count (mapcompd's
-	// -cache-shards). 0 derives a power of two from GOMAXPROCS; other
-	// values round up to a power of two, capped at 64. Small caches
-	// reduce the count so per-shard capacity stays useful.
-	CacheShards int
 	// Compose selects the algorithm configuration; nil means
 	// core.DefaultConfig().
 	Compose *core.Config
@@ -96,12 +85,6 @@ type Config struct {
 	// instead of migrating the unaffected ones (mapcompd -delta=false,
 	// for A/B benchmarking the delta machinery).
 	DisableDelta bool
-	// Rewarm enables the background rewarm queue: pairs a publish
-	// invalidated (and pairs that became newly reachable) are queued,
-	// hottest first, for recomputation by Server.Rewarm. The caller
-	// must run Rewarm on a goroutine for the queue to drain (mapcompd
-	// -rewarm does).
-	Rewarm bool
 	// SlowRequest, when positive, samples requests that take at least
 	// this long to the structured log (mapcompd -slow-ms). Zero
 	// disables sampling — and with it the response-writer wrapping, so
@@ -116,12 +99,10 @@ type Server struct {
 	cat      *catalog.Catalog
 	cfg      *core.Config
 	cfgFP    uint64
-	cache    *resultCache // nil when caching is disabled
-	cacheCap int
+	cache    *resultCache   // nil when caching is disabled
 	persist  *persist.Store // nil without a durability backend
 	timeout  time.Duration  // server-side compose deadline; 0 = none
 	deltaOff bool           // wipe-on-write baseline (Config.DisableDelta)
-	rewarmQ  *rewarmQueue   // nil unless Config.Rewarm
 	slow     time.Duration  // slow-request log threshold; 0 = off
 	logger   *slog.Logger
 	mux      *http.ServeMux
@@ -132,7 +113,6 @@ type Server struct {
 	resultFetches atomic.Int64 // GET /v1/results hits
 	elimAttempts  atomic.Int64 // summed Stats.Attempted of the runs
 	warmed        atomic.Int64 // pairs precomputed by Warm
-	rewarmed      atomic.Int64 // pairs recomputed by the rewarm loop
 
 	migrations      atomic.Int64 // catalog publishes the cache transitioned across
 	entriesMigrated atomic.Int64 // entries whose watermark was bumped in place
@@ -175,21 +155,12 @@ func New(cfg Config) *Server {
 		s.cfg = core.DefaultConfig()
 	}
 	s.cfgFP = s.cfg.Fingerprint()
-	size := cfg.CacheSize
-	if size == 0 && cfg.CacheBytes == 0 {
-		size = DefaultCacheSize
+	budget := cfg.CacheBytes
+	if budget == 0 {
+		budget = DefaultCacheBytes
 	}
-	if size >= 0 {
-		s.cache = newResultCache(size, cfg.CacheBytes, cfg.CacheShards)
-		s.cacheCap = size
-		if size == 0 {
-			// Bytes-only bound: cap Warm's pair sweep at the smallest
-			// entry count that could exhaust the budget.
-			s.cacheCap = int(cfg.CacheBytes / entryOverhead)
-		}
-		if cfg.Rewarm {
-			s.rewarmQ = newRewarmQueue()
-		}
+	if budget > 0 {
+		s.cache = newResultCache(budget)
 		s.cat.SetPublishHook(s.onPublish)
 	}
 	mux := http.NewServeMux()
@@ -235,10 +206,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Stats snapshots the instrumentation counters. The three compose
 // counters are loaded in one pass and Requests is derived as their sum,
 // so the identity hits + composes + coalesced == requests holds exactly
-// in every snapshot, load or no load; likewise the cache numbers
-// (entries, bytes, per-shard split) come from a single load of each
-// shard's published view, so they are mutually consistent rather than
-// three racing sweeps.
+// in every snapshot, load or no load; likewise the cache's entry count
+// and bytes are read under one lock, so they describe the same entries.
 func (s *Server) Stats() StatsResponse {
 	hits := s.cacheHits.Load()
 	composes := s.composes.Load()
@@ -252,21 +221,13 @@ func (s *Server) Stats() StatsResponse {
 		ResultFetches:     s.resultFetches.Load(),
 		EliminateAttempts: s.elimAttempts.Load(),
 		Warmed:            s.warmed.Load(),
-		Rewarmed:          s.rewarmed.Load(),
 		Migrations:        s.migrations.Load(),
 		EntriesMigrated:   s.entriesMigrated.Load(),
 		EntriesDropped:    s.entriesDropped.Load(),
 		DeltaComputeUS:    s.deltaUS.Load(),
 	}
 	if s.cache != nil {
-		cs := s.cache.stats()
-		out.CacheEntries = cs.entries
-		out.CacheBytes = cs.bytes
-		out.CacheShards = len(s.cache.shards)
-		out.CacheShardEntries = cs.perShard
-	}
-	if s.rewarmQ != nil {
-		out.RewarmQueueDepth = s.rewarmQ.depth()
+		out.CacheEntries, out.CacheBytes = s.cache.stats()
 	}
 	gs := s.cat.GraphStats()
 	out.RegisteredEdges = gs.RegisteredEdges
@@ -292,8 +253,9 @@ func (s *Server) Stats() StatsResponse {
 // the internal/par worker pool and stop claiming pairs once ctx is
 // cancelled (cmd/mapcompd passes its shutdown context, so a SIGTERM
 // during warm-up is not held hostage by the remaining pairs). The
-// number of pairs attempted is capped at the cache capacity (warming
-// beyond it would evict its own entries). Warm returns the number of
+// number of pairs attempted is capped at the smallest entry count that
+// could exhaust the cache's byte budget (warming beyond it would evict
+// its own entries). Warm returns the number of
 // pairs actually cached — the same count /v1/stats reports as "warmed"
 // — and skips pairs whose composition fails: Warm is an optimization
 // pass, the request path reports real errors. Pairs already cached with
@@ -308,12 +270,13 @@ func (s *Server) Warm(ctx context.Context) int {
 	}
 	snap := s.cat.Snap()
 	gen := snap.Generation()
+	maxPairs := int(s.cache.maxBytes / entryOverhead)
 	var pairs [][2]string
 	for from, to := range snap.ReachablePairs() {
-		if len(pairs) >= s.cacheCap {
+		if len(pairs) >= maxPairs {
 			break
 		}
-		if s.cache.valid(pairKey{from: from, to: to, cfg: s.cfgFP}, gen) {
+		if _, ok := s.cache.probe(pairKey{from: from, to: to, cfg: s.cfgFP}, gen); ok {
 			continue // survived migration; nothing to recompute
 		}
 		pairs = append(pairs, [2]string{from, to})

@@ -391,29 +391,49 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 }
 
-// TestCacheEviction drives more distinct keys than the cache holds and
-// checks the bound.
+// TestCacheEviction drives more distinct keys than the byte budget
+// holds and checks that eviction follows recency of use, not of
+// insertion.
 func TestCacheEviction(t *testing.T) {
-	s := New(Config{CacheSize: 2})
+	// Each chainTask entry charges roughly 1.0–1.2 KiB, so 2.5 KiB holds
+	// any two of the three pairs but never all three.
+	s := New(Config{CacheBytes: 2560})
 	if rec := do(t, s, "POST", "/v1/register", chainTask); rec.Code != http.StatusOK {
 		t.Fatalf("register: %s", rec.Body)
 	}
-	// Three distinct pairs through a 2-entry cache: the third insert
-	// must evict the least recently used pair, and re-requesting the
-	// evicted pair recomputes.
-	do(t, s, "POST", "/v1/compose", `{"from":"original","to":"fivestar"}`)
-	do(t, s, "POST", "/v1/compose", `{"from":"original","to":"split"}`)
-	do(t, s, "POST", "/v1/compose", `{"from":"fivestar","to":"split"}`)
-	if got := s.cache.len(); got > 2 {
-		t.Fatalf("cache grew to %d entries, bound is 2", got)
+	compose := func(body string) ComposeResponse {
+		t.Helper()
+		rec := do(t, s, "POST", "/v1/compose", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("compose %s: %d %s", body, rec.Code, rec.Body)
+		}
+		return decode[ComposeResponse](t, rec)
+	}
+	const (
+		pair1 = `{"from":"original","to":"fivestar"}`
+		pair2 = `{"from":"original","to":"split"}`
+		pair3 = `{"from":"fivestar","to":"split"}`
+	)
+	compose(pair1)
+	compose(pair2)
+	// Re-using pair 1 makes pair 2 the least recently used entry even
+	// though pair 1 was inserted first.
+	if !compose(pair1).Cached {
+		t.Fatal("pair 1 missed before any eviction")
+	}
+	compose(pair3)
+	if got := s.cache.len(); got != 2 {
+		t.Fatalf("cache holds %d entries, want 2 under the budget", got)
 	}
 	if got := s.Stats().Composes; got != 3 {
 		t.Fatalf("composes = %d, want 3", got)
 	}
-	// original→fivestar was evicted; requesting it again recomputes.
-	resp := decode[ComposeResponse](t, do(t, s, "POST", "/v1/compose", `{"from":"original","to":"fivestar"}`))
-	if resp.Cached {
-		t.Fatal("evicted pair reported cached")
+	if !compose(pair1).Cached {
+		t.Fatal("recently used pair 1 was evicted")
+	}
+	// Pair 2 was evicted; requesting it again recomputes.
+	if compose(pair2).Cached {
+		t.Fatal("evicted pair 2 reported cached")
 	}
 	if got := s.Stats().Composes; got != 4 {
 		t.Fatalf("composes = %d, want 4 after re-requesting the evicted pair", got)
@@ -452,10 +472,8 @@ func TestCacheByteBudget(t *testing.T) {
 	// An accounting cross-check: the reported bytes equal the summed
 	// entry sizes.
 	var sum int64
-	for _, sh := range s.cache.shards {
-		for _, e := range sh.view.Load().items {
-			sum += e.size
-		}
+	for _, e := range s.cache.items {
+		sum += e.size
 	}
 	if sum != st.CacheBytes {
 		t.Fatalf("cache_bytes %d != summed entry sizes %d", st.CacheBytes, sum)

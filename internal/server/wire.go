@@ -296,20 +296,17 @@ type CatalogResponse struct {
 // Warmed counts cache entries precomputed by the post-recovery warm-up
 // pass, and Persist carries the durability backend's counters (WAL
 // size, snapshot coverage, recovery summary) when the daemon runs with
-// a data directory. CacheShards is the result cache's shard count
-// (mapcompd -cache-shards, default derived from GOMAXPROCS) and
-// CacheShardEntries the per-shard entry counts, so an operator can see
-// whether the key-hash distribution is balanced.
+// a data directory.
 //
 // The migration block instruments generation-delta cache survival:
 // Migrations counts catalog publishes the cache transitioned across,
 // EntriesMigrated/EntriesDropped the cumulative per-publish split of
 // surviving vs delta-invalidated entries, and DeltaComputeUS the
-// cumulative snapshot-diff time in microseconds. RewarmQueueDepth and
-// Rewarmed report the background rewarm loop (mapcompd -rewarm): pairs
-// awaiting recomputation and pairs recomputed so far. CacheBytes is the
-// exact byte footprint of the cached pre-encoded bodies (the -cache-bytes
-// budget applies to it).
+// cumulative snapshot-diff time in microseconds. CacheEntries counts
+// the cached results and CacheBytes their exact byte footprint (the
+// pre-encoded bodies plus per-entry overhead, which the -cache-bytes
+// budget bounds); the two are read under one lock, so they describe
+// the same entries.
 type StatsResponse struct {
 	Generation uint64 `json:"generation"`
 	// Requests is derived as CacheHits + Composes + Coalesced from one
@@ -322,14 +319,10 @@ type StatsResponse struct {
 	EliminateAttempts int64 `json:"eliminate_attempts"`
 	CacheEntries      int   `json:"cache_entries"`
 	CacheBytes        int64 `json:"cache_bytes,omitempty"`
-	CacheShards       int   `json:"cache_shards,omitempty"`
-	CacheShardEntries []int `json:"cache_shard_entries,omitempty"`
 	Migrations        int64 `json:"migrations,omitempty"`
 	EntriesMigrated   int64 `json:"entries_migrated,omitempty"`
 	EntriesDropped    int64 `json:"entries_dropped,omitempty"`
 	DeltaComputeUS    int64 `json:"delta_compute_us,omitempty"`
-	RewarmQueueDepth  int   `json:"rewarm_queue_depth,omitempty"`
-	Rewarmed          int64 `json:"rewarmed,omitempty"`
 	Warmed            int64 `json:"warmed,omitempty"`
 	// Bidirectional-graph statistics, from the current snapshot: edge
 	// counts by provenance, reachable ordered pairs over the full graph

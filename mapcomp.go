@@ -54,15 +54,12 @@
 // measured wall-clock durations vary. EXPERIMENTS.md records the
 // measured speedups against the pre-interning baseline.
 //
-// The serving layer applies the same discipline to its result cache:
-// composition results are stored in an N-way sharded cache (shard count
-// a power of two derived from GOMAXPROCS, keys hashed to shards), each
-// shard publishing an immutable copy-on-write view through an atomic
-// pointer, so a cache hit is a lock-free map probe with no cross-shard
-// lock traffic. Entries carry the response pre-encoded in the wire
-// format: hits, coalesced waiters, batch items and result fetches write
-// the stored bytes straight to the client with zero JSON marshals —
-// the hit path performs no encoding work at all, enforced by an
+// The serving layer stores composition results in one byte-bounded LRU
+// map behind a read-write lock, so a cache hit is a read-locked map
+// probe. Entries carry the response pre-encoded in the wire format:
+// hits, coalesced waiters, batch items and result fetches write the
+// stored bytes straight to the client with zero JSON marshals — the
+// hit path performs no encoding work at all, enforced by an
 // allocation/marshal regression guard (BenchmarkServerComposeHit) and a
 // CI throughput ceiling on the saturated benchmark.
 //
@@ -89,16 +86,16 @@
 //   - internal/server is the mapcompd HTTP/JSON API (stdlib net/http):
 //     register schemas and mappings by POSTing the text format, request
 //     single or batched compositions, fetch cached results. Results
-//     live in a bounded sharded cache keyed on (catalog generation,
-//     endpoint pair, config fingerprint) that stores each response
-//     pre-encoded, so a repeated request against an unchanged catalog
-//     never re-runs ELIMINATE — verified by the server's step-count
-//     instrumentation (/v1/stats) — and never re-encodes the response
-//     either; identical in-flight requests are coalesced to one
-//     computation per shard.
+//     live in a byte-bounded cache keyed on (endpoint pair, config
+//     fingerprint) and validated against the catalog generation that
+//     stores each response pre-encoded, so a repeated request against
+//     an unchanged catalog never re-runs ELIMINATE — verified by the
+//     server's step-count instrumentation (/v1/stats) — and never
+//     re-encodes the response either; identical in-flight requests are
+//     coalesced to one computation.
 //
 //   - cmd/mapcompd wires it together with flags for address, worker
-//     pool width, cache size and sharding, and the compose deadline,
+//     pool width, cache byte budget and the compose deadline,
 //     plus graceful shutdown; examples/service is an end-to-end
 //     walkthrough.
 //
