@@ -10,7 +10,10 @@
 // re-materialized an edge), became newly reachable, or became
 // unreachable. Every other pair's composition result is provably
 // byte-identical across the two generations and can survive the
-// mutation untouched.
+// mutation untouched. The diff is incremental: only sources that can
+// reach a schema whose out-edges changed are searched, so a mutation
+// confined to one corner of a large catalog costs one linear pass over
+// the graph plus the searches from that corner.
 //
 // Route generations make that survival visible on the wire: a Route
 // carries the generation of the newest mutation that affected it (the
@@ -21,6 +24,7 @@
 package catalog
 
 import (
+	"slices"
 	"sort"
 
 	"mapcomp/internal/algebra"
@@ -108,8 +112,11 @@ func (s Snap) Route(from, to string) (*Route, error) {
 // visible to readers, so invocations are strictly ordered by
 // generation and no publication can be missed or observed out of
 // order; it must not mutate the catalog (deadlock) and should be quick
-// — mutations serialize behind it. The serving layer uses it to
-// migrate its result cache by the delta between the two snapshots.
+// — mutations serialize behind it, and readers see the new snapshot
+// while it runs. The serving layer uses it to migrate its result cache
+// by the delta between the two snapshots; ComputeDelta's cost follows
+// the part of the graph that can reach the mutation, not the catalog's
+// size.
 type PublishHook func(old, new Snap)
 
 // SetPublishHook attaches (or, with nil, detaches) the publish hook.
@@ -153,15 +160,6 @@ func (d *Delta) Invalidated(from, to string) bool {
 	return ok
 }
 
-// tree is bfsFrom under its delta-facing name: the full-graph BFS from
-// src with no early exit. The route tree agrees with per-pair path
-// resolution: BFS discovery order is deterministic, and a node's route
-// is fixed at its discovery, which happens identically whether or not
-// the search stops there.
-func (v *view) tree(src int) (via []*edge, prev []int, order []int) {
-	return v.bfsFrom(src)
-}
-
 // ComputeDelta diffs two snapshots of the same catalog (old must not be
 // newer than new). It exploits the copy-on-write structure sharing:
 // a route is unchanged exactly when every hop resolves to the same
@@ -169,27 +167,19 @@ func (v *view) tree(src int) (via []*edge, prev []int, order []int) {
 // materialized mapping when the mapping entry and both endpoint schema
 // entries are untouched, so pointer equality captures mapping updates
 // and schema re-registrations alike, across any number of intervening
-// generations. Cost is two BFS runs per schema, O(S·(S+E)); the output
-// pair lists are sorted, so equal snapshots always produce equal
-// deltas.
+// generations. Only the sources affectedSources returns are searched:
+// a source that reaches no dirty schema explores the same edges, in
+// the same order, in both snapshots, so it has nothing to report. Cost
+// is O(S+E) plus two BFS runs per affected source; the output pair
+// lists are sorted, so equal snapshots always produce equal deltas.
 func ComputeDelta(old, new Snap) *Delta {
-	ov, nv := old.v, new.v
+	return deltaFrom(old.v, new.v, affectedSources(old.v, new.v))
+}
+
+// deltaFrom classifies every pair whose source is in sources, each a
+// schema of either snapshot, listed once.
+func deltaFrom(ov, nv *view, sources []string) *Delta {
 	d := &Delta{FromGen: ov.gen, ToGen: nv.gen, stale: make(map[[2]string]struct{})}
-
-	// Sources: union of the two schema sets, in sorted order. Mutations
-	// never remove schemas, but Restore-built snapshots make the union
-	// the honest domain.
-	sources := make([]string, 0, len(ov.schemaList)+4)
-	for _, e := range ov.schemaList {
-		sources = append(sources, e.Name)
-	}
-	for _, e := range nv.schemaList {
-		if _, ok := ov.schemas[e.Name]; !ok {
-			sources = append(sources, e.Name)
-		}
-	}
-	sort.Strings(sources)
-
 	for _, src := range sources {
 		oi, inOld := ov.schemaIdx[src]
 		ni, inNew := nv.schemaIdx[src]
@@ -198,13 +188,13 @@ func ComputeDelta(old, new Snap) *Delta {
 			d.diffSource(ov, nv, src, oi, ni)
 		case inOld:
 			// Source vanished: every pair it could reach is lost.
-			_, _, oldOrder := ov.tree(oi)
+			_, _, oldOrder := ov.bfsFrom(oi)
 			for _, x := range oldOrder {
 				d.Lost = append(d.Lost, [2]string{src, ov.schemaList[x].Name})
 			}
 		default:
 			// Brand-new source: every pair it reaches is gained.
-			_, _, newOrder := nv.tree(ni)
+			_, _, newOrder := nv.bfsFrom(ni)
 			for _, x := range newOrder {
 				d.Gained = append(d.Gained, [2]string{src, nv.schemaList[x].Name})
 			}
@@ -221,6 +211,110 @@ func ComputeDelta(old, new Snap) *Delta {
 		d.stale[p] = struct{}{}
 	}
 	return d
+}
+
+// affectedSources returns, sorted, the sources whose routes may differ
+// between the two snapshots: every schema that reaches a dirty schema,
+// in either snapshot, the dirty ones included. A schema is dirty when
+// it exists in only one snapshot or its out-edge list differs (see
+// sameEdges). Any other source's search meets only clean schemas, so
+// it unfolds identically in both snapshots. Mutations never remove
+// schemas, but Restore-built snapshots make the union the honest
+// domain.
+func affectedSources(ov, nv *view) []string {
+	oldMark := make([]bool, len(ov.schemaList))
+	newMark := make([]bool, len(nv.schemaList))
+	for i, e := range ov.schemaList {
+		j, ok := nv.schemaIdx[e.Name]
+		if !ok || !sameEdges(ov, nv, ov.edges[i], nv.edges[j]) {
+			oldMark[i] = true
+			if ok {
+				newMark[j] = true
+			}
+		}
+	}
+	for j, e := range nv.schemaList {
+		if _, ok := ov.schemaIdx[e.Name]; !ok {
+			newMark[j] = true
+		}
+	}
+	ov.markReaching(oldMark)
+	nv.markReaching(newMark)
+
+	var sources []string
+	for i, e := range ov.schemaList {
+		if oldMark[i] {
+			sources = append(sources, e.Name)
+		}
+	}
+	for j, e := range nv.schemaList {
+		if newMark[j] {
+			sources = append(sources, e.Name)
+		}
+	}
+	slices.Sort(sources)
+	return slices.Compact(sources)
+}
+
+// sameEdges reports whether two out-edge lists of one schema are equal
+// element by element: same target schema (by name — indices shift when
+// a schema is added), mapping, direction and materialization. Equal
+// lists are explored identically by bfsFrom, which visits a node's
+// edges in list order.
+func sameEdges(ov, nv *view, oes, nes []edge) bool {
+	if len(oes) != len(nes) {
+		return false
+	}
+	for k := range oes {
+		o, n := &oes[k], &nes[k]
+		if o.mat != n.mat || o.inv != n.inv || o.m.Name != n.m.Name ||
+			ov.schemaList[o.to].Name != nv.schemaList[n.to].Name {
+			return false
+		}
+	}
+	return true
+}
+
+// markReaching extends mark to every schema with a path to a marked
+// one: a search over the reversed edges, in compressed-row form so the
+// whole pass is a handful of allocations.
+func (v *view) markReaching(mark []bool) {
+	n := len(v.schemaList)
+	// The sources of the edges into x are from[start[x]:start[x+1]].
+	start := make([]int, n+1)
+	for _, es := range v.edges {
+		for i := range es {
+			start[es[i].to+1]++
+		}
+	}
+	for x := 0; x < n; x++ {
+		start[x+1] += start[x]
+	}
+	from := make([]int, start[n])
+	fill := slices.Clone(start[:n])
+	for h, es := range v.edges {
+		for i := range es {
+			t := es[i].to
+			from[fill[t]] = h
+			fill[t]++
+		}
+	}
+	stack := make([]int, 0, n)
+	for x, m := range mark {
+		if m {
+			stack = append(stack, x)
+		}
+	}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, h := range from[start[x]:start[x+1]] {
+			if !mark[h] {
+				mark[h] = true
+				stack = append(stack, h)
+			}
+		}
+	}
 }
 
 // diffSource classifies every destination reachable from src in either
@@ -240,8 +334,8 @@ func ComputeDelta(old, new Snap) *Delta {
 // pointers for both its forward and its derived edge — every route
 // using the mapping in either direction classifies as changed.
 func (d *Delta) diffSource(ov, nv *view, src string, oi, ni int) {
-	oldVia, _, oldOrder := ov.tree(oi)
-	newVia, newPrev, newOrder := nv.tree(ni)
+	oldVia, _, oldOrder := ov.bfsFrom(oi)
+	newVia, newPrev, newOrder := nv.bfsFrom(ni)
 	changed := make([]bool, len(nv.schemaList))
 	for _, x := range newOrder {
 		name := nv.schemaList[x].Name

@@ -1,7 +1,10 @@
 package catalog
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mapcomp/internal/algebra"
@@ -288,5 +291,135 @@ func TestRouteGenStableAcrossUnrelatedMutations(t *testing.T) {
 	}
 	if r3.Gen != c.Generation() {
 		t.Fatalf("routeGen = %d after touching the route at generation %d", r3.Gen, c.Generation())
+	}
+}
+
+// computeDeltaFull is the all-sources sweep ComputeDelta prunes: every
+// schema of either snapshot is searched. It is the reference the
+// incremental diff must reproduce exactly.
+func computeDeltaFull(old, new Snap) *Delta {
+	var sources []string
+	for _, e := range old.v.schemaList {
+		sources = append(sources, e.Name)
+	}
+	for _, e := range new.v.schemaList {
+		sources = append(sources, e.Name)
+	}
+	slices.Sort(sources)
+	return deltaFrom(old.v, new.v, slices.Compact(sources))
+}
+
+// sameDelta reports how two deltas differ, or "" when they agree.
+func sameDelta(got, want *Delta) string {
+	switch {
+	case got.FromGen != want.FromGen || got.ToGen != want.ToGen:
+		return fmt.Sprintf("spans %d→%d, want %d→%d", got.FromGen, got.ToGen, want.FromGen, want.ToGen)
+	case !reflect.DeepEqual(pairs(got.Changed), pairs(want.Changed)):
+		return fmt.Sprintf("Changed = %v, want %v", got.Changed, want.Changed)
+	case !reflect.DeepEqual(pairs(got.Lost), pairs(want.Lost)):
+		return fmt.Sprintf("Lost = %v, want %v", got.Lost, want.Lost)
+	case !reflect.DeepEqual(pairs(got.Gained), pairs(want.Gained)):
+		return fmt.Sprintf("Gained = %v, want %v", got.Gained, want.Gained)
+	}
+	return ""
+}
+
+// TestComputeDeltaMatchesFullSweepProperty: over seeded random mutation
+// sequences, the incremental ComputeDelta reports exactly the Changed,
+// Lost and Gained lists of the all-sources sweep. The sequences mix
+// invertible permutation mappings (derived-inverse edges) with
+// containments, add schemas whose names sort between existing ones (so
+// dense indices shift), re-register schemas, update mappings (body,
+// invertibility and endpoints), and add edges that re-route existing
+// pairs. Deltas are checked between adjacent snapshots, between a
+// snapshot and a random earlier one, and across a Restore-built
+// catalog that takes over the sequence midway.
+func TestComputeDeltaMatchesFullSweepProperty(t *testing.T) {
+	var nonEmpty, pruned, derived int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := New()
+		var schemas, maps []string
+		history := []Snap{c.Snap()}
+		check := func(step string, old, new Snap) {
+			t.Helper()
+			got, want := ComputeDelta(old, new), computeDeltaFull(old, new)
+			if diff := sameDelta(got, want); diff != "" {
+				t.Fatalf("seed %d, %s, gen %d→%d: %s", seed, step, old.Generation(), new.Generation(), diff)
+			}
+			if len(want.Changed)+len(want.Lost)+len(want.Gained) > 0 {
+				nonEmpty++
+			}
+			if len(affectedSources(old.v, new.v)) < len(new.v.schemaList) {
+				pruned++
+			}
+		}
+		body := func(from, to string) algebra.ConstraintSet {
+			if rng.Intn(2) == 0 {
+				return parser.MustParseConstraints(fmt.Sprintf("proj[2,1](R%s) = R%s", from, to))
+			}
+			return parser.MustParseConstraints(fmt.Sprintf("R%s <= R%s", from, to))
+		}
+		endpoints := func() (string, string) {
+			a := rng.Intn(len(schemas))
+			b := (a + 1 + rng.Intn(len(schemas)-1)) % len(schemas)
+			return schemas[a], schemas[b]
+		}
+		for step := 0; step < 60; step++ {
+			if step == 30 {
+				// A Restore-built catalog takes over: every
+				// materialization is fresh, so the deltas across the
+				// hand-over search every connected source.
+				r := New()
+				empty := r.Snap()
+				ss, ms, gen := c.Snapshot()
+				if err := r.Restore(ss, ms, gen); err != nil {
+					t.Fatal(err)
+				}
+				check("restore", empty, r.Snap())
+				check("restore hand-over", c.Snap(), r.Snap())
+				c = r
+				history = append(history, c.Snap())
+				continue
+			}
+			var err error
+			switch k := rng.Intn(20); {
+			case len(schemas) < 2 || k < 4: // new schema, anywhere in name order
+				name := fmt.Sprintf("s%03d", rng.Intn(1000))
+				if !slices.Contains(schemas, name) {
+					schemas = append(schemas, name)
+				}
+				_, err = c.RegisterSchema(name, schemaOf(t, name))
+			case k < 7: // schema re-registration: re-materializes its edges
+				name := schemas[rng.Intn(len(schemas))]
+				_, err = c.RegisterSchema(name, schemaOf(t, name))
+			case len(maps) == 0 || k < 14: // new edge, possibly a shortcut
+				from, to := endpoints()
+				name := fmt.Sprintf("m%d", len(maps))
+				maps = append(maps, name)
+				_, err = c.RegisterMapping(name, from, to, body(from, to))
+			default: // mapping update, sometimes moving its endpoints
+				name := maps[rng.Intn(len(maps))]
+				e := c.Snap().v.maps[name]
+				from, to := e.From, e.To
+				if rng.Intn(4) == 0 {
+					from, to = endpoints()
+				}
+				_, err = c.RegisterMapping(name, from, to, body(from, to))
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			cur := c.Snap()
+			derived += cur.GraphStats().DerivedEdges
+			check(fmt.Sprintf("step %d", step), history[len(history)-1], cur)
+			check(fmt.Sprintf("step %d (skip)", step), history[rng.Intn(len(history))], cur)
+			history = append(history, cur)
+		}
+	}
+	// The property is vacuous unless the sequences produce real deltas,
+	// let the pruning skip sources, and ride derived inverses.
+	if nonEmpty == 0 || pruned == 0 || derived == 0 {
+		t.Fatalf("weak sequences: %d non-empty deltas, %d pruned, %d derived edges", nonEmpty, pruned, derived)
 	}
 }

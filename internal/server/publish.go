@@ -19,7 +19,8 @@ import (
 // ordered — migration for generation N completes before the mutation
 // producing N+1 can publish — which is what makes the per-publish
 // counter identity (candidates = migrated + dropped) exact. The work is
-// bounded: ComputeDelta is two BFS runs per schema and migrate one pass
+// bounded: ComputeDelta is one linear pass over the graph plus two BFS
+// runs per schema that can reach the mutation, and migrate one pass
 // over the cached entries.
 func (s *Server) onPublish(oldSnap, newSnap catalog.Snap) {
 	var invalid func(from, to string) bool
