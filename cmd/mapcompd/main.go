@@ -8,7 +8,7 @@
 //
 //	mapcompd [-addr :8391] [-workers N] [-cache-bytes N]
 //	         [-compose-timeout D] [-data-dir DIR] [-snapshot-every N]
-//	         [-warm] [-delta=false]
+//	         [-warm]
 //	         [-log-format text|json] [-slow-ms N] [-debug-addr HOST:PORT]
 //	         [file.mc ...]
 //
@@ -77,8 +77,8 @@
 // server diffs the old and new snapshots and drops only the entries
 // whose composition route actually changed; every other entry migrates
 // in place, keeping its key and pre-encoded bytes ("entries_migrated"
-// vs "entries_dropped" in /v1/stats). -delta=false reverts to the
-// wipe-on-write baseline for A/B comparison.
+// vs "entries_dropped" in /v1/stats; "delta_compute_us" sums the time
+// spent diffing snapshots).
 //
 // The cache is bounded by -cache-bytes (exact pre-encoded body sizes
 // plus per-entry overhead; default and 0 mean 64 MiB, a negative value
@@ -122,8 +122,6 @@ func main() {
 	workers := flag.Int("workers", 0, "batch worker pool width (0 = GOMAXPROCS)")
 	cacheBytes := flag.Int64("cache-bytes", server.DefaultCacheBytes,
 		"result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = the default, negative = no cache)")
-	delta := flag.Bool("delta", true,
-		"delta cache invalidation: migrate unaffected cache entries across catalog mutations (false = wipe-on-write baseline, for A/B)")
 	composeTimeout := flag.Duration("compose-timeout", 30*time.Second,
 		"server-side deadline per composition; expired deadlines return 504 (0 disables)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory (empty = memory-only)")
@@ -187,9 +185,8 @@ func main() {
 	srv := server.New(server.Config{
 		Catalog: cat, CacheBytes: *cacheBytes,
 		Persist: store, ComposeTimeout: *composeTimeout,
-		DisableDelta: !*delta,
-		SlowRequest:  time.Duration(*slowMS) * time.Millisecond,
-		Logger:       logger,
+		SlowRequest: time.Duration(*slowMS) * time.Millisecond,
+		Logger:      logger,
 	})
 	// ReadHeaderTimeout defeats slowloris header dribbling and
 	// IdleTimeout reaps abandoned keep-alive connections; request bodies

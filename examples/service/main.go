@@ -113,8 +113,8 @@ func main() {
 	// same route generation, no ELIMINATE re-run); re-registering the
 	// chain itself invalidates exactly the routes through it, so the
 	// next compose is cold again. /v1/stats splits each publish into
-	// entries_migrated vs entries_dropped. mapcompd -delta=false reverts
-	// to wipe-on-write for A/B.
+	// entries_migrated vs entries_dropped, and delta_compute_us sums the
+	// time spent diffing snapshots.
 	post(ts.URL+"/v1/register", "text/plain", "schema unrelated { U/1; }")
 	survived := post(ts.URL+"/v1/compose", "application/json", `{"from":"original","to":"split"}`)
 	fmt.Printf("\nafter an unrelated registration: cached=%v, key=%v (entry migrated in place)\n",

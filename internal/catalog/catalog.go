@@ -572,18 +572,6 @@ func (c *Catalog) Mapping(name string) (*MappingEntry, bool) {
 	return e, ok
 }
 
-// Schemas lists the current schema revisions sorted by name. The slice
-// is shared with the snapshot; callers must not modify it.
-func (c *Catalog) Schemas() []*SchemaEntry {
-	return c.snap.Load().schemaList
-}
-
-// Mappings lists the current mapping revisions sorted by name. The
-// slice is shared with the snapshot; callers must not modify it.
-func (c *Catalog) Mappings() []*MappingEntry {
-	return c.snap.Load().mapList
-}
-
 // Snapshot returns the schema and mapping listings (sorted by name) plus
 // the generation, all from one immutable snapshot so the three are
 // mutually consistent.

@@ -1,10 +1,6 @@
 package catalog
 
-import (
-	"iter"
-
-	"mapcomp/internal/core"
-)
+import "iter"
 
 // GraphStats summarizes one snapshot's bidirectional mapping graph:
 // edge counts by provenance, reachability with and without the derived
@@ -125,17 +121,3 @@ func (s Snap) GraphStats() *GraphStats { return s.v.graphStats() }
 
 // GraphStats returns the graph statistics of the current snapshot.
 func (c *Catalog) GraphStats() *GraphStats { return c.snap.Load().graphStats() }
-
-// Inversion returns the quasi-inverse judgement for a registered
-// mapping in this snapshot: the per-constraint verdicts and, when every
-// constraint passed, the derived inverse mapping.
-func (s Snap) Inversion(name string) (*core.Inversion, bool) {
-	inv, ok := s.v.inversions[name]
-	return inv, ok
-}
-
-// Inversion returns the quasi-inverse judgement for a registered
-// mapping against the current snapshot.
-func (c *Catalog) Inversion(name string) (*core.Inversion, bool) {
-	return Snap{v: c.snap.Load()}.Inversion(name)
-}

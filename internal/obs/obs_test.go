@@ -188,9 +188,9 @@ func TestMergeAssociative(t *testing.T) {
 	}
 }
 
-// TestSubPhaseDelta pins the temporal-diff use benchsnap relies on: the
-// delta between two snapshots of one histogram is exactly the
-// observations recorded in between.
+// TestSubPhaseDelta pins the temporal diff perfbench's traced split
+// relies on: the delta between two snapshots of one histogram is
+// exactly the observations recorded in between.
 func TestSubPhaseDelta(t *testing.T) {
 	h := &Histogram{}
 	for i := 0; i < 100; i++ {

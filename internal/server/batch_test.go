@@ -213,12 +213,12 @@ func TestBatchTraceCarriesRequestID(t *testing.T) {
 	}
 }
 
-// TestPooledBufferStorm interleaves oversized batch bodies (>64 KiB)
+// TestOversizedBodyStorm interleaves oversized batch bodies (>64 KiB)
 // with tiny compose hits from concurrent goroutines. Every request reads
 // its own body, so under -race this must produce only correct responses:
 // no cross-request corruption between concurrent readers, decoders and
 // cache probes.
-func TestPooledBufferStorm(t *testing.T) {
+func TestOversizedBodyStorm(t *testing.T) {
 	s := newTestServer(t)
 	// Prime the cache so the tiny composes are served by the probe.
 	if rec := do(t, s, "POST", "/v1/compose", `{"from":"original","to":"split"}`); rec.Code != http.StatusOK {

@@ -280,16 +280,15 @@ type migration struct {
 
 // migrate transitions the cache across a catalog publish oldGen→newGen.
 // invalid reports whether a pair's route changed across the publish
-// (ComputeDelta's Invalidated); a nil invalid means "everything
-// changed" — the wipe-on-write baseline, used when delta invalidation
-// is disabled. For every entry validated before newGen: if its route is
-// unchanged and its watermark is exactly the published range's floor or
-// newer, the watermark is bumped to newGen in place — the entry keeps
-// its identity, its pre-encoded bytes and its recency. Entries whose
-// route changed are dropped, as are strays validated before oldGen (an
-// insert that raced past earlier publishes; its route may have changed
-// across a span this delta does not cover, so dropping is the
-// conservative choice — the next request recomputes).
+// (ComputeDelta's Invalidated). For every entry validated before
+// newGen: if its route is unchanged and its watermark is exactly the
+// published range's floor or newer, the watermark is bumped to newGen
+// in place — the entry keeps its identity, its pre-encoded bytes and
+// its recency. Entries whose route changed are dropped, as are strays
+// validated before oldGen (an insert that raced past earlier
+// publishes; its route may have changed across a span this delta does
+// not cover, so dropping is the conservative choice — the next request
+// recomputes).
 func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(from, to string) bool) migration {
 	var m migration
 	c.mu.Lock()
@@ -300,7 +299,7 @@ func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(from, to strin
 			continue
 		}
 		m.candidates++
-		if g < oldGen || invalid == nil || invalid(e.pair.from, e.pair.to) {
+		if g < oldGen || invalid(e.pair.from, e.pair.to) {
 			c.removeLocked(e)
 			m.dropped++
 			continue

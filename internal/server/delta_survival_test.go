@@ -1,8 +1,9 @@
 package server
 
 // Tests for generation-delta cache survival: the equivalence property
-// test (delta-invalidated cache ≡ wipe-everything cache ≡ full
-// recompute, byte for byte), the -race migration hammer (registration
+// test (delta-invalidated cache ≡ full recompute, byte for byte), the
+// mixed-workload floors (hit rate, per-publish drops, latency
+// percentiles, reachability), the -race migration hammer (registration
 // storm against saturated reads, counter identity per publish) and the
 // warm-skip behaviour.
 
@@ -15,6 +16,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"mapcomp/internal/obs"
 )
 
 // clusterTask renders a self-contained registration body for cluster i:
@@ -64,8 +67,8 @@ func clusterAllPairs(i int) [][2]string {
 // fields — the cached flag and the measured composition durations — and
 // re-renders through the canonical encoder. Every other byte (path,
 // route generation, key, constraints, fingerprint, eliminations,
-// attempt counts) must be identical across a migrated entry, a fresh
-// recompute and a wipe-rebuilt entry.
+// attempt counts) must be identical across a migrated entry and a
+// fresh recompute.
 func normalizeResponse(t *testing.T, rec *httptest.ResponseRecorder) []byte {
 	t.Helper()
 	resp := decode[ComposeResponse](t, rec)
@@ -81,29 +84,37 @@ func normalizeResponse(t *testing.T, rec *httptest.ResponseRecorder) []byte {
 }
 
 // TestDeltaEquivalenceProperty interleaves randomized cluster
-// re-registrations with composes over three servers fed identical
-// mutation streams: one with delta invalidation (the default), one with
-// wipe-on-write (DisableDelta), and one with the cache disabled — the
-// full-recompute oracle. After every mutation the full pair sweep must
-// agree byte-for-byte (modulo the cached flag and measured durations)
-// across all three, which proves both halves of the property: a
-// migrated entry is byte-identical to a wipe-rebuilt one, and no
-// route-changed pair is ever served a stale migrated entry (the oracle
-// recomputes everything, every time).
+// re-registrations with composes over two servers fed identical
+// mutation streams: one with delta invalidation and one with the cache
+// disabled — the full-recompute oracle. After every mutation the full
+// pair sweep must agree byte-for-byte (modulo the cached flag and
+// measured durations), so no route-changed pair is ever served a stale
+// migrated entry (the oracle recomputes everything, every time). Each
+// publish must also drop no more than the mutation can reach: nothing
+// for a noise schema, at most the re-registered cluster's own pairs
+// for a cluster.
 func TestDeltaEquivalenceProperty(t *testing.T) {
 	const clusters = 6
 	delta := New(Config{})
-	wipe := New(Config{DisableDelta: true})
 	oracle := New(Config{CacheBytes: -1})
-	servers := []*Server{delta, wipe, oracle}
+	servers := []*Server{delta, oracle}
+	var publishes []migrationRecord
+	delta.migrateHook = func(r migrationRecord) { publishes = append(publishes, r) }
 
-	apply := func(body string) {
+	// apply registers body on both servers and returns the delta
+	// server's migration record for the publish.
+	apply := func(body string) migrationRecord {
 		t.Helper()
+		n := len(publishes)
 		for _, s := range servers {
 			if rec := do(t, s, "POST", "/v1/register", body); rec.Code != http.StatusOK {
 				t.Fatalf("register: %d %s", rec.Code, rec.Body)
 			}
 		}
+		if len(publishes) != n+1 {
+			t.Fatalf("register published %d times, want 1", len(publishes)-n)
+		}
+		return publishes[n]
 	}
 	for i := 0; i < clusters; i++ {
 		apply(clusterTask(i))
@@ -111,10 +122,10 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 
 	// The sweep covers the reverse pairs of the invertible clusters too:
 	// reverse-direction entries ride derived-inverse edges and must obey
-	// the same survival contract — byte-identical across delta
-	// invalidation, wipe-on-write, and full recompute, surviving
-	// unrelated mutations and dropping when their mapping republishes
-	// (freeze re-derives the inverse, so both directions invalidate).
+	// the same survival contract — byte-identical to a full recompute,
+	// surviving unrelated mutations and dropping when their mapping
+	// republishes (freeze re-derives the inverse, so both directions
+	// invalidate).
 	sweep := func(step string) {
 		t.Helper()
 		for i := 0; i < clusters; i++ {
@@ -129,10 +140,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 					got = append(got, normalizeResponse(t, rec))
 				}
 				if !bytes.Equal(got[0], got[1]) {
-					t.Fatalf("%s: %s: delta cache diverged from wipe cache:\ndelta %s\nwipe  %s", step, body, got[0], got[1])
-				}
-				if !bytes.Equal(got[0], got[2]) {
-					t.Fatalf("%s: %s: delta cache diverged from full recompute:\ndelta  %s\noracle %s", step, body, got[0], got[2])
+					t.Fatalf("%s: %s: delta cache diverged from full recompute:\ndelta  %s\noracle %s", step, body, got[0], got[1])
 				}
 			}
 		}
@@ -145,9 +153,15 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 		// that cluster), sometimes an unrelated noise schema (route-
 		// changing for nothing).
 		if rng.Intn(3) == 0 {
-			apply(fmt.Sprintf("schema noise%d { N%d/1; }", step, step))
+			if r := apply(fmt.Sprintf("schema noise%d { N%d/1; }", step, step)); r.dropped != 0 {
+				t.Fatalf("step %d: a noise schema dropped %d entries, want 0", step, r.dropped)
+			}
 		} else {
-			apply(clusterTask(rng.Intn(clusters)))
+			i := rng.Intn(clusters)
+			if r := apply(clusterTask(i)); r.dropped > len(clusterAllPairs(i)) {
+				t.Fatalf("step %d: re-registering cluster %d dropped %d entries, more than its %d pairs",
+					step, i, r.dropped, len(clusterAllPairs(i)))
+			}
 		}
 		// A few random composes first, so the sweep also compares pairs
 		// whose entries were touched at different recencies.
@@ -163,14 +177,119 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 		sweep(fmt.Sprintf("step %d", step))
 	}
 
-	// The whole point: the delta cache must have actually survived —
-	// far fewer recomputations than the wipe baseline.
-	dc, wc := delta.Stats(), wipe.Stats()
-	if dc.Composes >= wc.Composes {
-		t.Fatalf("delta server composed %d times, wipe server %d — survival bought nothing", dc.Composes, wc.Composes)
-	}
-	if dc.EntriesMigrated == 0 {
+	// The whole point: the delta cache must have actually survived.
+	if delta.Stats().EntriesMigrated == 0 {
 		t.Fatal("no entries were ever migrated")
+	}
+}
+
+// composeLatency merges the compose route's per-outcome request
+// histograms into one distribution. The histograms are process-global,
+// so a phase is isolated by diffing snapshots taken around it.
+func composeLatency() *obs.HistSnapshot {
+	out := &obs.HistSnapshot{}
+	for _, h := range composeSeconds {
+		out.Merge(h.Snapshot())
+	}
+	return out
+}
+
+// TestMixedWorkloadFloors replays the steady-state mixed workload — 150
+// disjoint clusters, a warm sweep of every pair, then 30 rounds of 100
+// uniform composes each followed by one cluster re-register — and
+// holds three floors:
+//
+//   - survival: the steady-state hit rate is at least 0.9, and each
+//     publish drops at most the re-registered cluster's own pairs (a
+//     wipe-on-write cache scores ~0.11 and drops every entry);
+//   - telemetry: the warm, mixed and hit phases each have present,
+//     ordered compose latency percentiles (0 < p50 ≤ p99 ≤ p999);
+//   - reachability: derived inverse edges make exactly 675 pairs
+//     servable over 450 forward-reachable ones (1.5×).
+func TestMixedWorkloadFloors(t *testing.T) {
+	const (
+		clusters       = 150
+		rounds         = 30
+		composesPerReg = 100
+	)
+	s := New(Config{})
+	var publishes []migrationRecord
+	s.migrateHook = func(r migrationRecord) { publishes = append(publishes, r) }
+	post := func(path, body string) {
+		t.Helper()
+		if rec := do(t, s, "POST", path, body); rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", path, body, rec.Code, rec.Body)
+		}
+	}
+	compose := func(p [2]string) { post("/v1/compose", fmt.Sprintf(`{"from":%q,"to":%q}`, p[0], p[1])) }
+	phase := func(name string, before *obs.HistSnapshot) *obs.HistSnapshot {
+		t.Helper()
+		now := composeLatency()
+		d := now.Sub(before)
+		p50, p99, p999 := d.Quantile(0.5), d.Quantile(0.99), d.Quantile(0.999)
+		if d.Count == 0 || p50 <= 0 || p50 > p99 || p99 > p999 {
+			t.Errorf("%s phase percentiles missing or unordered: count=%d p50=%v p99=%v p999=%v",
+				name, d.Count, p50, p99, p999)
+		}
+		return now
+	}
+
+	mark := composeLatency()
+	for i := 0; i < clusters; i++ {
+		post("/v1/register", clusterTask(i))
+	}
+	for i := 0; i < clusters; i++ {
+		for _, p := range clusterAllPairs(i) {
+			compose(p)
+		}
+	}
+	mark = phase("warm", mark)
+
+	st := s.Stats()
+	if st.ReachablePairs != 675 || st.ForwardReachablePairs != 450 {
+		t.Errorf("reachable pairs = %d over %d forward, want 675 over 450",
+			st.ReachablePairs, st.ForwardReachablePairs)
+	}
+
+	rng := rand.New(rand.NewSource(61))
+	maxDropped := 0
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < composesPerReg; k++ {
+			ps := clusterAllPairs(rng.Intn(clusters))
+			compose(ps[rng.Intn(len(ps))])
+		}
+		i, n := rng.Intn(clusters), len(publishes)
+		post("/v1/register", clusterTask(i))
+		if len(publishes) != n+1 {
+			t.Fatalf("round %d: %d publishes for one register, want 1", r, len(publishes)-n)
+		}
+		dropped := publishes[n].dropped
+		if dropped > len(clusterAllPairs(i)) {
+			t.Fatalf("round %d: re-registering cluster %d dropped %d entries, more than its %d pairs",
+				r, i, dropped, len(clusterAllPairs(i)))
+		}
+		maxDropped = max(maxDropped, dropped)
+	}
+	phase("mixed", mark)
+	hits := s.Stats().CacheHits - st.CacheHits
+	rate := float64(hits) / float64(rounds*composesPerReg)
+	t.Logf("steady-state hit rate %.3f (%d/%d), at most %d entries dropped per publish",
+		rate, hits, rounds*composesPerReg, maxDropped)
+	if rate < 0.9 {
+		t.Errorf("steady-state hit rate %.3f is below the 0.9 floor", rate)
+	}
+
+	const hitIters = 200
+	hot := clusterPairs(0)[0]
+	compose(hot)
+	mark = composeLatency()
+	before := s.Stats().CacheHits
+	for k := 0; k < hitIters; k++ {
+		compose(hot)
+	}
+	phase("hit", mark)
+	if got := s.Stats().CacheHits - before; got != hitIters {
+		t.Errorf("hit phase served %d of %d from the cache", got, hitIters)
 	}
 }
 

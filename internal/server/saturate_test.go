@@ -49,13 +49,13 @@ func newSaturationServer(t *testing.T) *Server {
 	return s
 }
 
-// TestShardedCacheSaturation drives the mixed workload and checks that
+// TestCacheSaturation drives the mixed workload and checks that
 // the computed+coalesced+hit counters sum to the total number of
 // successful compose requests: the singleflight must classify every
 // request exactly once, with no request lost or double counted between
 // the read-locked probe and the write-locked re-probe, and that the
 // cache never exceeds its byte budget.
-func TestShardedCacheSaturation(t *testing.T) {
+func TestCacheSaturation(t *testing.T) {
 	s := newSaturationServer(t)
 	const (
 		hotWorkers  = 4

@@ -80,11 +80,6 @@ type Config struct {
 	// attempts and surfaces as 504 with the partial statistics; the
 	// result is never cached.
 	ComposeTimeout time.Duration
-	// DisableDelta reverts cache invalidation to the wipe-on-write
-	// baseline: every catalog publish drops every pre-publish entry
-	// instead of migrating the unaffected ones (mapcompd -delta=false,
-	// for A/B benchmarking the delta machinery).
-	DisableDelta bool
 	// SlowRequest, when positive, samples requests that take at least
 	// this long to the structured log (mapcompd -slow-ms). Zero
 	// disables sampling — and with it the response-writer wrapping, so
@@ -96,16 +91,15 @@ type Config struct {
 
 // Server is the HTTP handler. Create with New.
 type Server struct {
-	cat      *catalog.Catalog
-	cfg      *core.Config
-	cfgFP    uint64
-	cache    *resultCache   // nil when caching is disabled
-	persist  *persist.Store // nil without a durability backend
-	timeout  time.Duration  // server-side compose deadline; 0 = none
-	deltaOff bool           // wipe-on-write baseline (Config.DisableDelta)
-	slow     time.Duration  // slow-request log threshold; 0 = off
-	logger   *slog.Logger
-	mux      *http.ServeMux
+	cat     *catalog.Catalog
+	cfg     *core.Config
+	cfgFP   uint64
+	cache   *resultCache   // nil when caching is disabled
+	persist *persist.Store // nil without a durability backend
+	timeout time.Duration  // server-side compose deadline; 0 = none
+	slow    time.Duration  // slow-request log threshold; 0 = off
+	logger  *slog.Logger
+	mux     *http.ServeMux
 
 	composes      atomic.Int64 // compositions actually run
 	cacheHits     atomic.Int64 // compose requests served from the LRU
@@ -117,7 +111,7 @@ type Server struct {
 	migrations      atomic.Int64 // catalog publishes the cache transitioned across
 	entriesMigrated atomic.Int64 // entries whose watermark was bumped in place
 	entriesDropped  atomic.Int64 // entries a publish invalidated
-	deltaUS         atomic.Int64 // cumulative ComputeDelta time, µs
+	deltaUS         atomic.Int64 // cumulative ComputeDelta time, µs (delta_compute_us)
 
 	// composeHook, when non-nil, runs inside every real composition
 	// before ComposeChain, receiving the composition's context; tests
@@ -125,9 +119,9 @@ type Server struct {
 	// demonstrably expired) so coalescing and preemption are observable.
 	composeHook func(context.Context)
 	// migrateHook, when non-nil, observes every publish-driven cache
-	// migration with its per-publish counters; the race hammer uses it
-	// to assert the candidates = migrated + dropped identity on every
-	// generation.
+	// migration with its per-publish counters; tests use it to assert
+	// the candidates = migrated + dropped identity and to bound what
+	// each publish drops.
 	migrateHook func(migrationRecord)
 }
 
@@ -143,8 +137,7 @@ type migrationRecord struct {
 // whoever drives it — migrates the cache by the snapshot delta.
 func New(cfg Config) *Server {
 	s := &Server{cat: cfg.Catalog, cfg: cfg.Compose, persist: cfg.Persist,
-		timeout: cfg.ComposeTimeout, deltaOff: cfg.DisableDelta,
-		slow: cfg.SlowRequest, logger: cfg.Logger}
+		timeout: cfg.ComposeTimeout, slow: cfg.SlowRequest, logger: cfg.Logger}
 	if s.logger == nil {
 		s.logger = slog.Default()
 	}
